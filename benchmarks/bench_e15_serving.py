@@ -9,7 +9,7 @@ identical engine with every cache disabled.  The contract under test:
   uncached throughput (warm hits skip parse + ground + solve entirely);
 * every response is **element-for-element identical** to the uncached
   one — same answer sets, same order (the byte-identical guarantee the
-  fingerprint keys provide);
+  structural rule-tuple keys provide);
 * batched decision serving (``decide_many``) resolves each distinct
   request once while still logging one monitoring record per request.
 

@@ -17,7 +17,7 @@ ICDCS 2019), including its substrates:
 * :mod:`repro.agenp` - the full Figure 2 architecture, plus the
   multi-party coalition fabric;
 * :mod:`repro.engine` - the high-throughput serving engine
-  (fingerprint-keyed caches, batched PDP decisions);
+  (content-keyed caches, batched PDP decisions);
 * :mod:`repro.analysis` - static analysis (linting) for policies,
   grammars, and learning tasks;
 * :mod:`repro.telemetry` - structured tracing and profiling;

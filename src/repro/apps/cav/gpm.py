@@ -117,8 +117,8 @@ class CavSymbolicLearner:
             return []
         out = []
         for prod_id, program in sorted(self.learned.annotations.items()):
-            base = {repr(r) for r in self.asg.annotation(prod_id)}
+            base = set(self.asg.annotation(prod_id))
             for rule in program:
-                if repr(rule) not in base:
+                if rule not in base:
                     out.append(repr(rule))
         return sorted(out)

@@ -82,9 +82,9 @@ class Context:
         return f"Context({label}{inner})"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Context) and set(map(repr, self.program)) == set(
-            map(repr, other.program)
+        return isinstance(other, Context) and set(self.program.rules) == set(
+            other.program.rules
         )
 
     def __hash__(self) -> int:
-        return hash(frozenset(map(repr, self.program)))
+        return hash(frozenset(self.program.rules))

@@ -1,10 +1,11 @@
 """The high-throughput serving engine (caching + batching front door).
 
 :class:`PolicyEngine` wraps parse → ground → solve, ASG membership, and
-PDP decisions behind fingerprint-keyed LRU caches with generation-based
-invalidation and batched decision serving.  See
-:mod:`repro.engine.engine` for the serving semantics,
-:mod:`repro.engine.fingerprint` for the content-addressing scheme, and
+PDP decisions behind LRU caches with generation-based invalidation and
+batched decision serving.  Cache keys are plain values: source text,
+rule tuples and :class:`~repro.core.contexts.Context` values (compared
+by the AST's own structural ``__eq__``/``__hash__``), and token tuples.  See
+:mod:`repro.engine.engine` for the serving semantics and
 :mod:`repro.engine.caches` for admission rules.
 """
 
@@ -18,15 +19,6 @@ from repro.engine.caches import (
     admissible,
 )
 from repro.engine.engine import EngineStats, PolicyEngine
-from repro.engine.fingerprint import (
-    combine,
-    fingerprint_asg,
-    fingerprint_program,
-    fingerprint_rule,
-    fingerprint_rules,
-    fingerprint_text,
-    fingerprint_tokens,
-)
 
 __all__ = [
     "PolicyEngine",
@@ -38,11 +30,4 @@ __all__ = [
     "SolveCache",
     "MembershipCache",
     "admissible",
-    "combine",
-    "fingerprint_asg",
-    "fingerprint_program",
-    "fingerprint_rule",
-    "fingerprint_rules",
-    "fingerprint_text",
-    "fingerprint_tokens",
 ]

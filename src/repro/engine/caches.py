@@ -1,13 +1,14 @@
-"""Fingerprint-keyed LRU caches for the serving engine.
+"""Content-keyed LRU caches for the serving engine.
 
 One generic :class:`LRUCache` (ordered-dict based, O(1) get/put, typed
-hit/miss/eviction counters) backs four concrete caches:
+hit/miss/eviction counters) backs four concrete caches.  Keys are plain
+hashable values; rules compare by the AST's structural equality:
 
-* :class:`ParseCache` — source text fingerprint → parsed ``Program``;
-* :class:`GroundCache` — program fingerprint → ``GroundProgram``;
-* :class:`SolveCache` — (program fingerprint, solver options) →
+* :class:`ParseCache` — source text → parsed ``Program``;
+* :class:`GroundCache` — (rule tuple, max_atoms) → ``GroundProgram``;
+* :class:`SolveCache` — (rule tuple, solver options) →
   ``SolveResult`` snapshot;
-* :class:`MembershipCache` — (ASG fingerprint, tokens, options) → the
+* :class:`MembershipCache` — (ASG snapshot, token tuple, options) → the
   membership verdict for an ASG policy string.
 
 Admission is *budget-aware*: a result computed while the governing
@@ -160,14 +161,14 @@ class LRUCache(Generic[K, V]):
 
 
 class ParseCache(LRUCache[str, Any]):
-    """Source-text fingerprint → parsed ``Program``."""
+    """Source text → parsed ``Program``."""
 
     def __init__(self, max_entries: int = 512):
         super().__init__(max_entries, name="parse")
 
 
-class GroundCache(LRUCache[Tuple[str, int], GroundProgram]):
-    """(program fingerprint, max_atoms) → :class:`GroundProgram`.
+class GroundCache(LRUCache[Tuple[tuple, int], GroundProgram]):
+    """(rule tuple, max_atoms) → :class:`GroundProgram`.
 
     Ground programs are shared, not copied: the solver treats them as
     read-only inputs, and every :class:`AnswerSetSolver` builds its own
@@ -188,8 +189,8 @@ class _SolveEntry:
         self.stats: SolveStats = result.stats
 
 
-class SolveCache(LRUCache[Tuple[str, Any], _SolveEntry]):
-    """(program fingerprint, solver-option key) → solve snapshot.
+class SolveCache(LRUCache[Tuple[tuple, Any], _SolveEntry]):
+    """(rule tuple, solver-option key) → solve snapshot.
 
     The option key includes every knob that can change the answer
     (``max_models``, ``max_steps``, ``use_fast_path``), so a truncated
@@ -203,7 +204,7 @@ class SolveCache(LRUCache[Tuple[str, Any], _SolveEntry]):
     def __init__(self, max_entries: int = 1024):
         super().__init__(max_entries, name="solve")
 
-    def get_result(self, key: Tuple[str, Any]) -> Optional[SolveResult]:
+    def get_result(self, key: Tuple[tuple, Any]) -> Optional[SolveResult]:
         entry = self.get(key)
         if entry is None:
             return None
@@ -211,15 +212,15 @@ class SolveCache(LRUCache[Tuple[str, Any], _SolveEntry]):
 
     def put_result(
         self,
-        key: Tuple[str, Any],
+        key: Tuple[tuple, Any],
         result: SolveResult,
         budget: Optional[Budget] = None,
     ) -> bool:
         return self.put(key, _SolveEntry(result), budget=budget)
 
 
-class MembershipCache(LRUCache[Tuple[str, Any], bool]):
-    """(ASG fingerprint, tokens, options) → ASG membership verdict."""
+class MembershipCache(LRUCache[tuple, bool]):
+    """(ASG snapshot, token tuple, options) → ASG membership verdict."""
 
     def __init__(self, max_entries: int = 2048):
         super().__init__(max_entries, name="membership")

@@ -3,21 +3,24 @@
 :class:`PolicyEngine` is the one front door for high-throughput policy
 serving.  It wraps the substrate entry points that the rest of the
 framework exposes piecemeal (``parse`` → ``ground`` → ``solve``, ASG
-membership, PDP decisions) behind content-addressed caches with
-generation-based invalidation:
+membership, PDP decisions) behind content-keyed caches with
+generation-based invalidation.  Every key is a plain value compared by
+the AST's structural ``__eq__``/``__hash__``, so ``Integer(1)`` and
+``Constant("1")`` never share an entry:
 
 * **Solve path** — ``engine.solve_text(text)`` / ``engine.solve(program)``
-  consult a parse cache, a :class:`~repro.engine.caches.GroundCache`
-  (program fingerprint → ground program) and a
-  :class:`~repro.engine.caches.SolveCache` (fingerprint + solver options
-  → answer sets).  Results are byte-identical to the uncached path: the
-  cache key covers every knob that can change the answer, and cached
-  models are returned in their original order.
+  consult a parse cache (source text → program), a
+  :class:`~repro.engine.caches.GroundCache` (rule tuple → ground
+  program) and a :class:`~repro.engine.caches.SolveCache` (rule tuple +
+  solver options → answer sets).  Results are byte-identical to the
+  uncached path: the key covers rule order and every knob that can
+  change the answer, and cached models are returned in their original
+  order.
 * **Membership path** — ``engine.accepts(asg, tokens)`` memoizes ASG
-  membership verdicts per (grammar fingerprint, token string, options).
+  membership verdicts per (grammar snapshot, token tuple, options).
 * **Decision path** — ``engine.decide(request)`` serves PDP decisions
-  from a decision cache keyed by (policy generation, context generation,
-  context fingerprint, request); ``engine.decide_many(requests)`` groups
+  from a decision cache keyed by (context, policy and context
+  generations, request); ``engine.decide_many(requests)`` groups
   duplicate requests so each distinct decision is computed once, with an
   optional ``workers=N`` process-pool fan-out for cold batches.
 * **Invalidation** — PAdaP policy updates bump
@@ -53,13 +56,6 @@ from repro.engine.caches import (
     MembershipCache,
     ParseCache,
     SolveCache,
-)
-from repro.engine.fingerprint import (
-    combine,
-    fingerprint_asg,
-    fingerprint_program,
-    fingerprint_text,
-    fingerprint_tokens,
 )
 from repro.policy.model import Decision, Request
 from repro.policy.xacml import Policy
@@ -159,20 +155,19 @@ class PolicyEngine:
         self._batches_served = 0
         # generations the decision cache was built against
         self._seen_generations: Optional[Tuple[int, int]] = None
-        # id-keyed memo for ASG fingerprints (grammars are large; the
+        # id-keyed memo for ASG cache keys (grammars are large; the
         # strong reference keeps the id stable, mirroring PCP.preflight)
-        self._asg_fps: Dict[int, Tuple[object, str]] = {}
+        self._asg_keys: Dict[int, Tuple[object, tuple]] = {}
 
     # -- solve path ---------------------------------------------------------
 
     def parse(self, text: str) -> Program:
         """Parse ASP source text through the parse cache."""
-        key = fingerprint_text(text)
-        cached = self.parse_cache.get(key)
+        cached = self.parse_cache.get(text)
         if cached is not None:
             return cached
         program = parse_program(text)
-        self.parse_cache.put(key, program)
+        self.parse_cache.put(text, program)
         return program
 
     def ground(
@@ -182,7 +177,7 @@ class PolicyEngine:
         budget: Optional[Budget] = None,
     ) -> GroundProgram:
         """Ground ``program`` through the ground cache."""
-        key = (fingerprint_program(program), max_atoms)
+        key = (tuple(program.rules), max_atoms)
         cached = self.ground_cache.get(key)
         if cached is not None:
             return cached
@@ -204,19 +199,19 @@ class PolicyEngine:
         :func:`repro.asp.solver.solve`; a warm hit skips parsing,
         grounding, and solving entirely.
         """
-        fp = fingerprint_program(program)
-        options = (max_models, max_steps, use_fast_path)
-        key = (fp, options)
-        with _tele_span("engine.solve", fingerprint=fp[:12]) as sp:
+        rules = tuple(program.rules)
+        key = (rules, (max_models, max_steps, use_fast_path))
+        with _tele_span("engine.solve") as sp:
             cached = self.solve_cache.get_result(key)
             if cached is not None:
                 sp.set(cache="hit")
                 return cached
             sp.set(cache="miss")
-            ground = self.ground_cache.get((fp, _DEFAULT_MAX_ATOMS))
+            ground_key = (rules, _DEFAULT_MAX_ATOMS)
+            ground = self.ground_cache.get(ground_key)
             if ground is None:
                 ground = ground_program(program, budget=budget)
-                self.ground_cache.put((fp, _DEFAULT_MAX_ATOMS), ground, budget=budget)
+                self.ground_cache.put(ground_key, ground, budget=budget)
             solver = AnswerSetSolver(
                 ground, max_steps=max_steps, budget=budget, use_fast_path=use_fast_path
             )
@@ -243,13 +238,27 @@ class PolicyEngine:
 
     # -- membership path ----------------------------------------------------
 
-    def _asg_fingerprint(self, asg) -> str:
-        cached = self._asg_fps.get(id(asg))
+    def _asg_key(self, asg) -> tuple:
+        """A structural snapshot of ``asg``: start symbol, productions in
+        id order with terminal marks, and each production's annotation."""
+        cached = self._asg_keys.get(id(asg))
         if cached is not None and cached[0] is asg:
             return cached[1]
-        fp = fingerprint_asg(asg)
-        self._asg_fps[id(asg)] = (asg, fp)
-        return fp
+        cfg = asg.cfg
+        terminals = cfg.terminals
+        key = (
+            cfg.start,
+            tuple(
+                (prod.prod_id, prod.lhs, tuple((s, s in terminals) for s in prod.rhs))
+                for prod in cfg.productions
+            ),
+            tuple(
+                (prod_id, tuple(asg.annotations[prod_id].rules))
+                for prod_id in sorted(asg.annotations)
+            ),
+        )
+        self._asg_keys[id(asg)] = (asg, key)
+        return key
 
     def accepts(
         self,
@@ -260,10 +269,7 @@ class PolicyEngine:
         use_fast_path: bool = True,
     ) -> bool:
         """ASG membership (``tokens in L(G)``) through the membership cache."""
-        key = (
-            self._asg_fingerprint(asg),
-            (fingerprint_tokens(tokens), max_trees, use_fast_path),
-        )
+        key = (self._asg_key(asg), tuple(tokens), max_trees, use_fast_path)
         cached = self.membership_cache.get(key)
         if cached is not None:
             return cached
@@ -311,10 +317,6 @@ class PolicyEngine:
             self._seen_generations = generations
         return generations
 
-    def _context_fingerprint(self, context: Context) -> str:
-        # order-insensitive: contexts compare by rule *set* (Context.__eq__)
-        return combine(sorted(repr(rule) for rule in context.program))
-
     def decide(
         self, request: Request, context: Optional[Context] = None
     ) -> DecisionRecord:
@@ -330,10 +332,7 @@ class PolicyEngine:
             self.contexts.current() if self.contexts is not None else Context.empty()
         )
         generations = self._check_invalidation()
-        key = (
-            self._context_fingerprint(context),
-            (generations, request.key()),
-        )
+        key = (context, generations, request.key())
         with _tele_span("engine.decide") as sp:
             self._decisions_served += 1
             cached = self.decision_cache.get(key)
@@ -372,7 +371,6 @@ class PolicyEngine:
         requests = list(requests)
         workers = workers if workers is not None else self.workers
         generations = self._check_invalidation()
-        context_fp = self._context_fingerprint(context)
 
         with _tele_span("engine.decide_many", batch=len(requests)) as sp:
             self._batches_served += 1
@@ -393,8 +391,7 @@ class PolicyEngine:
             outcomes: Dict[tuple, Tuple[Decision, str]] = {}
             cold: List[tuple] = []
             for key in order:
-                cache_key = (context_fp, (generations, key))
-                cached = self.decision_cache.get(cache_key)
+                cached = self.decision_cache.get((context, generations, key))
                 if cached is not None:
                     outcomes[key] = cached
                 else:
@@ -409,9 +406,7 @@ class PolicyEngine:
                 )
                 for key, outcome in zip(cold, resolved):
                     outcomes[key] = outcome
-                    self.decision_cache.put(
-                        (context_fp, (generations, key)), outcome
-                    )
+                    self.decision_cache.put((context, generations, key), outcome)
 
             # one monitoring record per input request, in input order
             records: List[DecisionRecord] = [None] * len(requests)  # type: ignore[list-item]
@@ -494,7 +489,7 @@ class PolicyEngine:
         ):
             cache.clear()
         self._seen_generations = None
-        self._asg_fps.clear()
+        self._asg_keys.clear()
 
     def stats(self) -> EngineStats:
         """Hit/miss/eviction counters for every cache."""

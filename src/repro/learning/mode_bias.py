@@ -123,7 +123,7 @@ class CandidateRule:
         self.cost = cost
 
     def key(self) -> tuple:
-        return (repr(self.rule), self.prod_id)
+        return (self.rule, self.prod_id)
 
     def __repr__(self) -> str:
         target = f" @prod{self.prod_id}" if self.prod_id is not None else ""

@@ -56,7 +56,7 @@ class ContextExample:
 
     def key(self) -> tuple:
         """Content identity (used for oracle memoization)."""
-        return (self.tokens, tuple(sorted(repr(r) for r in self.context)))
+        return (self.tokens, frozenset(self.context.rules))
 
     def __repr__(self) -> str:
         ctx = f" | {len(self.context.rules)} ctx rules" if len(self.context) else ""
@@ -83,7 +83,7 @@ class ASGLearningTask:
         self.context_placement = context_placement
         self.max_trees = max_trees
         self.use_fast_path = use_fast_path
-        self._grammar_cache: Dict[FrozenSet[tuple], ASG] = {}
+        self._grammar_cache: Dict[FrozenSet[CandidateRule], ASG] = {}
         self._oracle_cache: Dict[tuple, bool] = {}
 
     def constraints_only(self) -> bool:
@@ -98,7 +98,7 @@ class ASGLearningTask:
         )
 
     def _grammar(self, hypothesis: Sequence[CandidateRule]) -> ASG:
-        key = frozenset(c.key() for c in hypothesis)
+        key = frozenset(hypothesis)
         cached = self._grammar_cache.get(key)
         if cached is None:
             cached = self.initial.with_rules(
@@ -109,7 +109,7 @@ class ASGLearningTask:
 
     def positive_holds(self, hypothesis: Sequence[CandidateRule], example: ContextExample) -> bool:
         """Check condition 1 of Definition 3: ``s ∈ L(G(C) : H)``."""
-        key = (frozenset(c.key() for c in hypothesis), example.key())
+        key = (frozenset(hypothesis), example.key())
         cached = self._oracle_cache.get(key)
         if cached is None:
             grammar = self._grammar(hypothesis).with_context(
@@ -153,11 +153,7 @@ class PartialInterpretation:
 
     def key(self) -> tuple:
         """Content identity (used for oracle memoization)."""
-        return (
-            tuple(sorted(map(repr, self.inclusions))),
-            tuple(sorted(map(repr, self.exclusions))),
-            tuple(sorted(repr(r) for r in self.context)),
-        )
+        return (self.inclusions, self.exclusions, frozenset(self.context.rules))
 
     def __repr__(self) -> str:
         inc = ", ".join(sorted(map(str, self.inclusions)))
@@ -202,7 +198,7 @@ class LASTask:
         self, hypothesis: Sequence[CandidateRule], example: PartialInterpretation
     ) -> bool:
         """Some answer set of ``B ∪ H ∪ C`` covers the partial interpretation."""
-        key = (frozenset(c.key() for c in hypothesis), example.key())
+        key = (frozenset(hypothesis), example.key())
         cached = self._oracle_cache.get(key)
         if cached is not None:
             return cached

@@ -49,3 +49,12 @@ class TestEquality:
 
     def test_different_facts_unequal(self):
         assert Context.from_text("a.") != Context.from_text("b.")
+
+    def test_integer_and_string_values_unequal(self):
+        # hour(14) with an integer and with the constant "14" print the
+        # same, but only the integer matches a rule body like hour(14)
+        as_int = Context.from_attributes({"hour": 14})
+        as_str = Context.from_attributes({"hour": "14"})
+        assert repr(as_int) == repr(as_str)
+        assert as_int != as_str
+        assert len({as_int, as_str}) == 2

@@ -95,7 +95,7 @@ def test_equivalent_text_shares_one_entry():
     engine = PolicyEngine()
     engine.solve_text("a.  b :- a.")  # different whitespace, same rules
     engine.solve_text("a. b :- a.")
-    # parse cache misses twice (text differs) but the program fingerprint
+    # parse cache misses twice (text differs) but the rule tuple
     # coincides, so grounding and solving happen once
     assert engine.parse_cache.stats.misses == 2
     assert engine.ground_cache.stats.misses + engine.ground_cache.stats.hits == 1

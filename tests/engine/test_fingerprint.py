@@ -1,20 +1,16 @@
-"""Content-addressing invariants: equal content ⇔ equal fingerprint."""
+"""Cache identity: equal content hits, any structural difference misses.
 
-import pytest
+Every engine cache is keyed on structural values (source text, rule
+tuples, token tuples, an ASG snapshot), so these invariants are checked
+through ``PolicyEngine``'s hit and miss counters.
+"""
 
-from repro.asp.atoms import Atom, Comparison, Literal
+from repro.asp.atoms import Atom, Literal
 from repro.asp.parser import parse_program
 from repro.asp.rules import ChoiceRule, NormalRule, Program, WeakConstraint
-from repro.asp.terms import Constant, Integer, Variable
+from repro.asp.terms import Constant, Integer
 from repro.asg.asg_parser import parse_asg
-from repro.engine.fingerprint import (
-    combine,
-    fingerprint_asg,
-    fingerprint_program,
-    fingerprint_rule,
-    fingerprint_text,
-    fingerprint_tokens,
-)
+from repro.engine import PolicyEngine
 
 ASG_TEXT = """
 start -> elem { :- value(2)@1. }
@@ -23,59 +19,65 @@ elem -> "y" { value(2). }
 """
 
 
+def solve_all(*programs):
+    """Solve each program through one engine; return its solve-cache stats."""
+    engine = PolicyEngine()
+    for program in programs:
+        engine.solve(program)
+    return engine.solve_cache.stats
+
+
 def test_same_text_same_fingerprint():
-    a = parse_program("p(1). q(X) :- p(X), not r(X).")
-    b = parse_program("p(1). q(X) :- p(X), not r(X).")
-    assert fingerprint_program(a) == fingerprint_program(b)
+    text = "p(1). q(X) :- p(X), not r(X)."
+    stats = solve_all(parse_program(text), parse_program(text))
+    assert (stats.misses, stats.hits) == (1, 1)
 
-
-def test_program_method_matches_function():
-    program = parse_program("a :- not b. b :- not a.")
-    assert program.fingerprint() == fingerprint_program(program)
+    engine = PolicyEngine()
+    engine.solve_text(text)
+    engine.solve_text(text)
+    assert (engine.parse_cache.stats.misses, engine.parse_cache.stats.hits) == (1, 1)
 
 
 def test_rebuilt_program_same_fingerprint():
     parsed = parse_program("q(X) :- p(X). p(1).")
     rebuilt = Program(list(parsed.rules))
-    assert fingerprint_program(parsed) == fingerprint_program(rebuilt)
+    stats = solve_all(parsed, rebuilt)
+    assert (stats.misses, stats.hits) == (1, 1)
 
 
 def test_rule_order_changes_fingerprint():
-    a = parse_program("a. b.")
-    b = parse_program("b. a.")
-    assert fingerprint_program(a) != fingerprint_program(b)
+    stats = solve_all(parse_program("a. b."), parse_program("b. a."))
+    assert (stats.misses, stats.hits) == (2, 0)
 
 
 def test_any_structural_change_changes_fingerprint():
-    base = fingerprint_program(parse_program("q(X) :- p(X), not r(X)."))
-    for variant in [
-        "q(X) :- p(X), r(X).",  # flipped sign
-        "q(X) :- p(Y), not r(X).",  # renamed variable
-        "q(X, X) :- p(X), not r(X).",  # changed arity
-        "s(X) :- p(X), not r(X).",  # renamed head predicate
-        "q(X) :- p(X).",  # dropped literal
-    ]:
-        assert fingerprint_program(parse_program(variant)) != base
+    base = "p(1). q(X) :- p(X), not r(X)."
+    variants = [
+        "p(1). q(X) :- p(X), r(X).",  # flipped sign
+        "p(1). q(Y) :- p(Y), not r(Y).",  # renamed variable
+        "p(1). q(X, X) :- p(X), not r(X).",  # changed arity
+        "p(1). s(X) :- p(X), not r(X).",  # renamed head predicate
+        "p(1). q(X) :- p(X).",  # dropped literal
+    ]
+    stats = solve_all(*(parse_program(text) for text in [base, *variants]))
+    assert (stats.misses, stats.hits) == (1 + len(variants), 0)
 
 
 def test_typed_terms_disambiguate():
-    # Constant("1") and Integer(1) repr identically; the typed
-    # serialization must keep them apart.
+    # Constant("1") and Integer(1) print identically; structural
+    # equality must keep them apart.
     with_const = Program([NormalRule(Atom("p", (Constant("c"),)), [])])
     with_int = Program([NormalRule(Atom("p", (Integer(1),)), [])])
     as_const_1 = Program([NormalRule(Atom("p", (Constant("1"),)), [])])
-    fps = {
-        fingerprint_program(with_const),
-        fingerprint_program(with_int),
-        fingerprint_program(as_const_1),
-    }
-    assert len(fps) == 3
+    stats = solve_all(with_const, with_int, as_const_1, with_int, as_const_1)
+    assert (stats.misses, stats.hits) == (3, 2)
 
 
 def test_annotation_changes_fingerprint():
     plain = Program([NormalRule(Atom("p"), [])])
     annotated = Program([NormalRule(Atom("p", annotation=(1,)), [])])
-    assert fingerprint_program(plain) != fingerprint_program(annotated)
+    stats = solve_all(plain, annotated)
+    assert (stats.misses, stats.hits) == (2, 0)
 
 
 def test_rule_kinds_are_tagged():
@@ -83,46 +85,57 @@ def test_rule_kinds_are_tagged():
     constraint = Program([NormalRule(None, list(body))])
     choice = Program([ChoiceRule([Atom("q")], list(body), 0, 1)])
     weak = Program([WeakConstraint(list(body), Integer(1), 0)])
-    fps = {fingerprint_program(p) for p in (constraint, choice, weak)}
-    assert len(fps) == 3
+    stats = solve_all(constraint, choice, weak)
+    assert (stats.misses, stats.hits) == (3, 0)
 
 
 def test_choice_bounds_matter():
     a = Program([ChoiceRule([Atom("q")], [], 0, 1)])
     b = Program([ChoiceRule([Atom("q")], [], 1, 1)])
-    assert fingerprint_program(a) != fingerprint_program(b)
+    stats = solve_all(a, b)
+    assert (stats.misses, stats.hits) == (2, 0)
 
 
 def test_comparison_bodies_fingerprint():
-    a = parse_program("q(X) :- p(X), X > 1. p(1..3).")
-    b = parse_program("q(X) :- p(X), X < 1. p(1..3).")
-    assert fingerprint_program(a) != fingerprint_program(b)
-    assert fingerprint_program(a) == fingerprint_program(
-        parse_program("q(X) :- p(X), X > 1. p(1..3).")
+    greater = "q(X) :- p(X), X > 1. p(1..3)."
+    less = "q(X) :- p(X), X < 1. p(1..3)."
+    stats = solve_all(
+        parse_program(greater), parse_program(less), parse_program(greater)
     )
+    assert (stats.misses, stats.hits) == (2, 1)
 
 
 def test_rule_fingerprint_is_stable_across_programs():
     rule = parse_program("q(X) :- p(X).").rules[0]
     same = parse_program("a. q(X) :- p(X).").rules[1]
-    assert fingerprint_rule(rule) == fingerprint_rule(same)
+    stats = solve_all(Program([rule]), Program([same]))
+    assert (stats.misses, stats.hits) == (1, 1)
 
 
 def test_asg_fingerprint_stable_and_sensitive():
-    a = parse_asg(ASG_TEXT)
-    b = parse_asg(ASG_TEXT)
-    assert fingerprint_asg(a) == fingerprint_asg(b)
+    engine = PolicyEngine()
+    tokens = ["x"]
+    engine.accepts(parse_asg(ASG_TEXT), tokens)
+    engine.accepts(parse_asg(ASG_TEXT), tokens)
+    stats = engine.membership_cache.stats
+    assert (stats.misses, stats.hits) == (1, 1)
     changed = parse_asg(ASG_TEXT.replace("value(2)", "value(3)"))
-    assert fingerprint_asg(a) != fingerprint_asg(changed)
+    engine.accepts(changed, tokens)
+    assert (stats.misses, stats.hits) == (2, 1)
+    rule = parse_program(":- value(1)@1.").rules[0]
+    engine.accepts(parse_asg(ASG_TEXT).with_rules([(rule, 0)]), tokens)
+    assert (stats.misses, stats.hits) == (3, 1)
 
 
 def test_text_and_token_fingerprints():
-    assert fingerprint_text("a.") == fingerprint_text("a.")
-    assert fingerprint_text("a.") != fingerprint_text("a. ")
-    assert fingerprint_tokens(["ab", "c"]) != fingerprint_tokens(["a", "bc"])
-    assert fingerprint_tokens(("x", "y")) == fingerprint_tokens(["x", "y"])
+    engine = PolicyEngine()
+    for text in ["a.", "a.", "a. "]:
+        engine.parse(text)
+    parse = engine.parse_cache.stats
+    assert (parse.misses, parse.hits) == (2, 1)
 
-
-def test_combine_is_order_sensitive():
-    assert combine("a", "b") != combine("b", "a")
-    assert combine("a", 1) == combine("a", 1)
+    asg = parse_asg(ASG_TEXT)
+    for tokens in [["ab", "c"], ["a", "bc"], ("x", "y"), ["x", "y"]]:
+        engine.accepts(asg, tokens)
+    membership = engine.membership_cache.stats
+    assert (membership.misses, membership.hits) == (3, 1)

@@ -86,6 +86,19 @@ def test_distinct_contexts_are_distinct_keys():
     assert engine.decision_cache.stats.misses == 2
 
 
+def test_integer_and_string_contexts_do_not_share_decisions():
+    engine, __ = make_engine()
+    as_int = Context.from_attributes({"hour": 14})
+    as_str = Context.from_attributes({"hour": "14"})
+    engine.decide(request(), as_int)
+    engine.decide(request(), as_str)
+    assert engine.decision_cache.stats.hits == 0
+    engine.decide_many([request()], as_int)
+    engine.decide_many([request()], as_str)
+    assert engine.decision_cache.stats.hits == 2
+    assert engine.decision_cache.stats.misses == 2
+
+
 def test_degraded_decisions_are_not_cached():
     from repro.asp.api import solve_text
 

@@ -9,7 +9,8 @@ import pytest
 
 from repro.asp import parse_atom, parse_program
 from repro.asp.atoms import Atom, Literal
-from repro.asp.terms import Constant
+from repro.asp.rules import Program, fact
+from repro.asp.terms import Constant, Integer
 from repro.errors import UnsatisfiableTaskError
 from repro.learning import (
     LASTask,
@@ -111,6 +112,20 @@ class TestLASLearning:
         assert pi.covered_by(frozenset({parse_atom("a")}))
         assert not pi.covered_by(frozenset({parse_atom("a"), parse_atom("b")}))
         assert not pi.covered_by(frozenset())
+
+
+class TestOracleMemo:
+    def test_integer_and_constant_contexts_are_distinct_examples(self):
+        # p(1) with an integer and p(1) with the constant "1" print the
+        # same; only the integer fires q :- p(1).
+        task = LASTask(parse_program("q :- p(1)."), [], [], [])
+
+        def needs_q(value):
+            context = Program([fact(Atom("p", (value,)))])
+            return PartialInterpretation(inclusions=[parse_atom("q")], context=context)
+
+        assert task.positive_holds([], needs_q(Integer(1)))
+        assert not task.positive_holds([], needs_q(Constant("1")))
 
 
 class TestConstraintLAS:
