@@ -25,7 +25,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.asg.annotated import ASG, annotation_violations
-from repro.analysis.asp_lint import _body_literals, _head_atoms, lint_rules
+from repro.asp.rules import body_literals, head_atoms
+from repro.analysis.asp_lint import lint_rules
 from repro.analysis.diagnostics import ERROR, WARNING, Diagnostic
 from repro.analysis.grammar_lint import lint_cfg
 
@@ -43,7 +44,7 @@ def _defined_by_nonterminal(asg: ASG) -> Dict[str, Set[str]]:
     for prod in asg.cfg.productions:
         predicates = defined.setdefault(prod.lhs, set())
         for rule in asg.annotation(prod.prod_id):
-            for atom in _head_atoms(rule):
+            for atom in head_atoms(rule):
                 predicates.add(atom.predicate)
     return defined
 
@@ -77,7 +78,7 @@ def lint_asg(asg: ASG, source: Optional[str] = None) -> List[Diagnostic]:
 
         # Annotated body atoms must be derivable by the referenced child.
         for rule in program:
-            for literal in _body_literals(rule):
+            for literal in body_literals(rule):
                 atom = literal.atom
                 trace = atom.annotation
                 if trace is None or len(trace) != 1:

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.asp.atoms import Atom, Literal
+from repro.asp.atoms import Atom
 from repro.asp.grounder import binding_schedule
-from repro.asp.rules import ChoiceRule, NormalRule, Program, Rule
+from repro.asp.rules import Program, Rule, body_literals, head_atoms
 from repro.analysis.diagnostics import ERROR, INFO, WARNING, Diagnostic
 from repro.analysis.graphs import StratificationResult, check_stratification
 
@@ -46,18 +46,6 @@ __all__ = [
     "stratification",
     "predicate_dependencies",
 ]
-
-
-def _head_atoms(rule: Rule) -> List[Atom]:
-    if isinstance(rule, NormalRule):
-        return [rule.head] if rule.head is not None else []
-    if isinstance(rule, ChoiceRule):
-        return list(rule.elements)
-    return []
-
-
-def _body_literals(rule: Rule) -> List[Literal]:
-    return [elem for elem in rule.body if isinstance(elem, Literal)]
 
 
 def predicate_dependencies(
@@ -73,8 +61,8 @@ def predicate_dependencies(
     positive: List[Tuple[str, str]] = []
     negative: List[Tuple[str, str]] = []
     for rule in program:
-        heads = _head_atoms(rule)
-        literals = _body_literals(rule)
+        heads = head_atoms(rule)
+        literals = body_literals(rule)
         for atom in heads:
             nodes.add(atom.predicate)
         for literal in literals:
@@ -112,7 +100,7 @@ def _check_unsafe(rule: Rule, source: Optional[str]) -> Optional[Diagnostic]:
 
 
 def _check_dead(rule: Rule, source: Optional[str]) -> Optional[Diagnostic]:
-    literals = _body_literals(rule)
+    literals = body_literals(rule)
     positive = {lit.atom for lit in literals if lit.positive}
     for lit in literals:
         if not lit.positive and lit.atom in positive:
@@ -181,8 +169,8 @@ def _check_stratification(
         reported.add((head_pred, body_pred))
         span = None
         for rule in program:
-            if any(a.predicate == head_pred for a in _head_atoms(rule)):
-                for literal in _body_literals(rule):
+            if any(a.predicate == head_pred for a in head_atoms(rule)):
+                for literal in body_literals(rule):
                     if not literal.positive and literal.atom.predicate == body_pred:
                         span = literal.atom.span or rule.span
                         break
@@ -210,10 +198,10 @@ def _check_definedness(
     used: Dict[str, Atom] = {}
     head_witness: Dict[str, Atom] = {}
     for rule in program:
-        for atom in _head_atoms(rule):
+        for atom in head_atoms(rule):
             defined.add(atom.predicate)
             head_witness.setdefault(atom.predicate, atom)
-        for literal in _body_literals(rule):
+        for literal in body_literals(rule):
             used.setdefault(literal.atom.predicate, literal.atom)
     out: List[Diagnostic] = []
     for predicate in sorted(set(used) - defined):
@@ -249,7 +237,7 @@ def _check_definedness(
 def _check_arities(program: Program, source: Optional[str]) -> List[Diagnostic]:
     arities: Dict[str, Dict[int, Atom]] = {}
     for rule in program:
-        atoms = _head_atoms(rule) + [lit.atom for lit in _body_literals(rule)]
+        atoms = head_atoms(rule) + [lit.atom for lit in body_literals(rule)]
         for atom in atoms:
             arities.setdefault(atom.predicate, {}).setdefault(atom.arity, atom)
     out: List[Diagnostic] = []

@@ -22,7 +22,16 @@ from repro.asp.atoms import Atom, Comparison, Literal
 from repro.asp.terms import Substitution, Variable
 from repro.errors import Span
 
-__all__ = ["BodyElement", "NormalRule", "ChoiceRule", "Rule", "Program", "fact"]
+__all__ = [
+    "BodyElement",
+    "NormalRule",
+    "ChoiceRule",
+    "Rule",
+    "Program",
+    "fact",
+    "head_atoms",
+    "body_literals",
+]
 
 BodyElement = Union[Literal, Comparison]
 
@@ -255,6 +264,20 @@ Rule = Union[NormalRule, ChoiceRule, WeakConstraint]
 def fact(atom: Atom) -> NormalRule:
     """Build the fact ``atom.``"""
     return NormalRule(atom, ())
+
+
+def head_atoms(rule: Rule) -> List[Atom]:
+    """The atoms a rule can derive: its head, or its choice elements."""
+    if isinstance(rule, NormalRule):
+        return [rule.head] if rule.head is not None else []
+    if isinstance(rule, ChoiceRule):
+        return list(rule.elements)
+    return []
+
+
+def body_literals(rule: Rule) -> List[Literal]:
+    """The body's literals, without its comparisons."""
+    return [elem for elem in rule.body if isinstance(elem, Literal)]
 
 
 class Program:

@@ -19,13 +19,23 @@ branch-and-bound for the minimum-cost selection.  Because
 decomposability is an *assumption*, the result is always re-verified
 with the full oracle; on mismatch the caller should fall back to
 :class:`~repro.learning.ilasp.ILASPLearner` (see :func:`learn_auto`).
+
+The coverage model is built once per learner, from the *distinct*
+examples (grouped by ``key()``, weights summed), and each coverage row
+is an int bitmask over the hypothesis space, so the search works with
+mask operations.  :func:`learn_auto` reuses one learner across its
+violation budgets.  On a :class:`~repro.learning.tasks.LASTask` whose
+candidates are ground normal rules over a bottom part with a unique
+answer set, the oracle itself solves once per (example, fired heads)
+rather than once per candidate (see its docstring), so building the
+model costs a few solves per distinct example.
 """
 
 from __future__ import annotations
 
 import contextlib
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.mode_lint import lint_task
@@ -39,39 +49,49 @@ __all__ = ["DecomposableLearner", "learn_auto"]
 
 
 class _ExampleModel:
-    """How one example constrains candidate selection.
+    """How one distinct example constrains candidate selection.
 
-    ``needs_one`` examples are satisfied when at least one selected
-    candidate has its (good) flag set (or ``already`` — satisfied by the
-    empty hypothesis) *and* no selected candidate has its ``bad_flags``
-    bit set (a candidate may derive a decision the example excludes,
-    breaking it regardless of coverage).  ``needs_none`` examples are
-    satisfied when no selected candidate has its flag set (and
-    ``already`` must hold for the empty hypothesis).
+    Candidate sets are int bitmasks over the hypothesis space (bit ``i``
+    is candidate ``i``).  ``needs_one`` examples are satisfied when the
+    selection meets ``flags`` (or ``already`` — satisfied by the empty
+    hypothesis) *and* misses ``bad`` (a candidate may derive a decision
+    the example excludes, breaking it regardless of coverage).
+    ``needs_none`` examples are satisfied when the selection misses
+    ``flags`` (and ``already`` must hold for the empty hypothesis).
     """
 
-    __slots__ = ("kind", "flags", "bad_flags", "already", "weight")
+    __slots__ = ("kind", "flags", "bad", "already", "weight")
 
-    def __init__(
-        self,
-        kind: str,
-        flags: List[bool],
-        already: bool,
-        weight: int,
-        bad_flags: Optional[List[bool]] = None,
-    ):
+    def __init__(self, kind: str, flags: int, already: bool, weight: int, bad: int = 0):
         self.kind = kind
         self.flags = flags
-        self.bad_flags = bad_flags
+        self.bad = bad
         self.already = already
         self.weight = weight
 
-    def broken_by(self, index: int) -> bool:
-        return self.bad_flags is not None and self.bad_flags[index]
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _restrict(mask: int, kept: Sequence[int]) -> int:
+    """Re-index ``mask`` onto the positions listed in ``kept``."""
+    return sum(1 << j for j, i in enumerate(kept) if mask >> i & 1)
 
 
 class DecomposableLearner:
-    """Set-cover learning with final full-oracle verification."""
+    """Set-cover learning with final full-oracle verification.
+
+    The coverage model (and the task lint) is built by the first
+    :meth:`learn` call and reused by later ones, so ``max_violations``
+    may be raised between calls without repeating oracle work.  Each
+    result's ``checks`` and ``elapsed`` count the build plus that call's
+    own search and verification.
+    """
 
     def __init__(
         self,
@@ -87,91 +107,92 @@ class DecomposableLearner:
         self.max_nodes = max_nodes
         self.budget = budget
         self._constraints_only = task.constraints_only()
-        # static task diagnostics, populated by learn() before the search
+        # static task diagnostics, populated by the first learn()
         self.diagnostics: List[Diagnostic] = []
+        self._positives = self._group(task.positive)
+        self._negatives = self._group(task.negative)
+        self._models: Optional[List[_ExampleModel]] = None
+        self._checks = 0  # oracle calls made so far
+        self._build_checks = 0  # ... of which by the coverage build
+        self._build_s = 0.0
+
+    @staticmethod
+    def _group(examples) -> List[Tuple[object, int]]:
+        """Distinct examples by ``key()``, first occurrence first, with
+        summed weights (repeated log entries are common in sampled
+        datasets)."""
+        groups: Dict[tuple, list] = {}
+        for example in examples:
+            groups.setdefault(example.key(), [example, 0])[1] += example.weight
+        return [(example, weight) for example, weight in groups.values()]
+
+    def _positive(self, hypothesis: Sequence[CandidateRule], example) -> bool:
+        self._checks += 1
+        return self.task.positive_holds(hypothesis, example)
+
+    def _negative(self, hypothesis: Sequence[CandidateRule], example) -> bool:
+        self._checks += 1
+        return self.task.negative_holds(hypothesis, example)
 
     # -- building the decomposed model ------------------------------------
 
     def _build_models(self, space: Sequence[CandidateRule]) -> List[_ExampleModel]:
         models: List[_ExampleModel] = []
-        for example in self.task.positive:
-            base = self.task.positive_holds([], example)
-            flags = []
-            for candidate in space:
-                holds = self.task.positive_holds([candidate], example)
+        for example, weight in self._positives:
+            base = self._positive([], example)
+            flags = 0
+            for index, candidate in enumerate(space):
+                holds = self._positive([candidate], example)
                 if self._constraints_only or base:
-                    flags.append(not holds)  # flag = candidate *breaks* it
+                    flags |= (not holds) << index  # bit = candidate *breaks* it
                 else:
-                    flags.append(holds)  # flag = candidate covers it
+                    flags |= holds << index  # bit = candidate covers it
             if self._constraints_only or base:
                 # already satisfied (or constraint-style): stay unbroken
-                models.append(_ExampleModel("needs_none", flags, base, example.weight))
+                models.append(_ExampleModel("needs_none", flags, base, weight))
             else:
-                bad_flags = self._bad_flags(space, example, flags)
-                models.append(
-                    _ExampleModel(
-                        "needs_one", flags, base, example.weight, bad_flags
-                    )
-                )
-        for example in self.task.negative:
-            base = self.task.negative_holds([], example)
-            flags = []
-            for candidate in space:
-                rejected = self.task.negative_holds([candidate], example)
+                bad = self._bad_mask(space, example, flags)
+                models.append(_ExampleModel("needs_one", flags, base, weight, bad))
+        for example, weight in self._negatives:
+            base = self._negative([], example)
+            flags = 0
+            for index, candidate in enumerate(space):
+                rejected = self._negative([candidate], example)
                 if self._constraints_only:
-                    flags.append(rejected and not base)  # flag = candidate rejects it
+                    flags |= (rejected and not base) << index  # bit = candidate rejects it
                 else:
-                    flags.append(not rejected)  # flag = candidate violates it
-            if self._constraints_only:
-                models.append(_ExampleModel("needs_one", flags, base, example.weight))
-            else:
-                models.append(_ExampleModel("needs_none", flags, base, example.weight))
+                    flags |= (not rejected) << index  # bit = candidate violates it
+            kind = "needs_one" if self._constraints_only else "needs_none"
+            models.append(_ExampleModel(kind, flags, base, weight))
         return models
 
-    def _bad_flags(
-        self,
-        space: Sequence[CandidateRule],
-        example,
-        good_flags: List[bool],
-    ) -> Optional[List[bool]]:
-        """Per-candidate "breaks this example" flags for union-semantics
-        tasks: candidate c breaks example e when pairing c with a known
-        covering candidate g still fails (so c derives something e
-        excludes).  Requires at least one covering candidate; without
-        one the example is hopeless anyway and bad flags are moot."""
-        witness = None
-        for index, good in enumerate(good_flags):
-            if good:
-                witness = space[index]
-                break
-        if witness is None:
-            return None
-        bad = []
+    def _bad_mask(self, space: Sequence[CandidateRule], example, good: int) -> int:
+        """The bits of the candidates that *break* this example, for
+        union-semantics tasks: candidate c breaks example e when pairing c
+        with a known covering candidate g still fails (so c derives
+        something e excludes).  Requires at
+        least one covering candidate; without one the example is hopeless
+        anyway and bad bits are moot."""
+        if not good:
+            return 0
+        witness = space[next(_bits(good))]
+        bad = 0
         for index, candidate in enumerate(space):
-            if good_flags[index] or candidate is witness:
-                bad.append(False)
+            if good >> index & 1:
                 continue
-            bad.append(
-                not self.task.positive_holds([witness, candidate], example)
-            )
+            bad |= (not self._positive([witness, candidate], example)) << index
         return bad
 
     @staticmethod
     def _dedupe(models: List[_ExampleModel]) -> List[_ExampleModel]:
-        """Merge identical example models, summing weights (repeated log
-        entries are common in sampled datasets)."""
+        """Merge identical example models, summing weights."""
         merged: dict = {}
         for model in models:
-            key = (
-                model.kind,
-                tuple(model.flags),
-                tuple(model.bad_flags) if model.bad_flags is not None else None,
-                model.already,
-            )
+            key = (model.kind, model.flags, model.bad, model.already)
             existing = merged.get(key)
             if existing is None:
                 merged[key] = _ExampleModel(
-                    model.kind, model.flags, model.already, model.weight, model.bad_flags
+                    model.kind, model.flags, model.already, model.weight, model.bad
                 )
             else:
                 existing.weight += model.weight
@@ -179,98 +200,82 @@ class DecomposableLearner:
 
     # -- search --------------------------------------------------------------
 
-    @staticmethod
-    def _satisfied(model: _ExampleModel, selected: Sequence[int]) -> bool:
-        if model.kind == "needs_one":
-            if any(model.broken_by(i) for i in selected):
-                return False
-            return model.already or any(model.flags[i] for i in selected)
-        return model.already and not any(model.flags[i] for i in selected)
-
-    def _violations(
-        self, selected: Sequence[int], models: Sequence[_ExampleModel]
-    ) -> int:
-        return sum(
-            model.weight
-            for model in models
-            if not self._satisfied(model, selected)
-        )
-
     def _search(
         self, space: Sequence[CandidateRule], models: Sequence[_ExampleModel]
     ) -> Optional[List[int]]:
         """Branch-and-bound set cover, branching on uncovered examples.
 
         At each node, pick the unsatisfied needs-one example with the
-        fewest remaining coverers and branch over (a) each candidate
-        covering it, and (b) skipping it when the violation budget
-        allows.  Depth is bounded by ``max_rules`` selections plus the
-        budgeted skips, so the search stays polynomial in practice.
+        fewest coverers and branch over (a) each candidate covering it,
+        and (b) skipping it when the violation budget allows.  Depth is
+        bounded by ``max_rules`` selections plus the budgeted skips, so
+        the search stays polynomial in practice.
         """
         needs_one = [m for m in models if m.kind == "needs_one" and not m.already]
+        costs = [c.cost for c in space]
+        # an uncovered example has none of its coverers selected, so its
+        # branching list is fixed: cheapest first, lower index on ties,
+        # capped as a beam (bounded branching, greedy bound keeps quality)
+        coverer_counts = [bin(m.flags).count("1") for m in needs_one]
+        coverers = [
+            sorted(_bits(m.flags), key=costs.__getitem__)[:16] for m in needs_one
+        ]
+        # violations every node pays, and (mask, weight) pairs paid when
+        # the selection meets the mask: needs_none examples it violates,
+        # needs_one examples it breaks
+        fixed = sum(
+            m.weight for m in models if m.kind == "needs_none" and not m.already
+        )
+        watched = [
+            (m.flags if m.kind == "needs_none" else m.bad, m.weight)
+            for m in models
+            if (m.kind == "needs_none" and m.already) or (m.kind == "needs_one" and m.bad)
+        ]
         best: Optional[List[int]] = None
         best_cost = float("inf")
-        nodes = [0]
+        nodes = 0
 
         # Greedy warm start: a quick feasible cover gives the B&B a tight
         # upper bound to prune against.
         greedy = self._greedy(space, models, needs_one)
         if greedy is not None:
             best = greedy
-            best_cost = sum(space[i].cost for i in greedy)
+            best_cost = sum(costs[i] for i in greedy)
 
-        def node_violations(selected: List[int], skipped_weight: int) -> int:
-            # skips + needs_none violations + needs_one examples broken
-            # by the current selection
-            total = skipped_weight
-            for model in models:
-                if model.kind == "needs_none":
-                    if not model.already or any(model.flags[i] for i in selected):
-                        total += model.weight
-                elif any(model.broken_by(i) for i in selected):
-                    total += model.weight
-            return total
-
-        def dfs(selected: List[int], cost: float, skipped: List[_ExampleModel], skipped_weight: int) -> None:
-            nonlocal best, best_cost
-            nodes[0] += 1
-            if nodes[0] > self.max_nodes or cost >= best_cost:
+        def dfs(
+            selected: List[int], mask: int, cost: float, skipped: int, skipped_weight: int
+        ) -> None:
+            nonlocal best, best_cost, nodes
+            nodes += 1
+            if nodes > self.max_nodes or cost >= best_cost:
                 return
-            if node_violations(selected, skipped_weight) > self.max_violations:
+            violations = fixed + skipped_weight
+            for watch, weight in watched:
+                if watch & mask:
+                    violations += weight
+            if violations > self.max_violations:
                 return
-            uncovered = [
-                m
-                for m in needs_one
-                if m not in skipped
-                and not any(m.flags[i] for i in selected)
-                and not any(m.broken_by(i) for i in selected)  # broken = counted above
-            ]
-            if not uncovered:
+            # branch on the hardest uncovered, unbroken, unskipped example
+            pick = -1
+            for j, model in enumerate(needs_one):
+                if skipped >> j & 1 or (model.flags | model.bad) & mask:
+                    continue
+                if pick < 0 or coverer_counts[j] < coverer_counts[pick]:
+                    pick = j
+            if pick < 0:
                 best = list(selected)
                 best_cost = cost
                 return
-            # branch on the hardest example (fewest coverers)
-            def coverer_count(model: _ExampleModel) -> int:
-                return sum(
-                    1 for i in range(len(space)) if model.flags[i] and i not in selected
-                )
-
-            example = min(uncovered, key=coverer_count)
-            coverers = sorted(
-                (i for i in range(len(space)) if example.flags[i] and i not in selected),
-                key=lambda i: space[i].cost,
-            )[:16]  # beam cap: bounded branching, greedy bound keeps quality
             if len(selected) < self.max_rules:
-                for index in coverers:
+                for index in coverers[pick]:
                     selected.append(index)
-                    dfs(selected, cost + space[index].cost, skipped, skipped_weight)
+                    dfs(selected, mask | 1 << index, cost + costs[index], skipped, skipped_weight)
                     selected.pop()
-            if skipped_weight + example.weight <= self.max_violations:
-                skipped.append(example)
-                dfs(selected, cost, skipped, skipped_weight + example.weight)
-                skipped.pop()
+            weight = needs_one[pick].weight
+            if skipped_weight + weight <= self.max_violations:
+                dfs(selected, mask, cost, skipped | 1 << pick, skipped_weight + weight)
 
-        dfs([], 0.0, [], 0)
+        dfs([], 0, 0.0, 0, 0)
         return best
 
     def _greedy(
@@ -287,15 +292,16 @@ class DecomposableLearner:
         if self.max_violations > 0:
             return None
         selected: List[int] = []
-        uncovered = [m for m in needs_one]
+        uncovered = list(needs_one)
         while uncovered and len(selected) < self.max_rules:
+            gains = [0] * len(space)
+            for model in uncovered:
+                for index in _bits(model.flags):
+                    gains[index] += model.weight
             best_index = None
             best_ratio = 0.0
-            for index in range(len(space)):
-                if index in selected:
-                    continue
-                gain = sum(m.weight for m in uncovered if m.flags[index])
-                if gain <= 0:
+            for index, gain in enumerate(gains):
+                if gain <= 0 or index in selected:
                     continue
                 ratio = gain / space[index].cost
                 if ratio > best_ratio:
@@ -304,7 +310,7 @@ class DecomposableLearner:
             if best_index is None:
                 return None
             selected.append(best_index)
-            uncovered = [m for m in uncovered if not m.flags[best_index]]
+            uncovered = [m for m in uncovered if not m.flags >> best_index & 1]
         if uncovered:
             return None
         # needs_none examples must also hold (candidates are pre-filtered
@@ -323,15 +329,23 @@ class DecomposableLearner:
         with scope, _tele_span(
             "learn.decomposable", space=len(self.task.hypothesis_space)
         ) as sp:
-            self.diagnostics = lint_task(self.task)
-            if self.diagnostics:
-                sp.incr("learner.lint_findings", len(self.diagnostics))
-                sp.incr(
-                    "learner.lint_errors",
-                    sum(1 for d in self.diagnostics if d.is_error),
-                )
-            result = self._learn()
-            sp.incr("learner.checks", result.checks)
+            checks_before = self._checks
+            space = list(self.task.hypothesis_space)
+            if self._models is None:
+                start = time.monotonic()
+                self.diagnostics = lint_task(self.task)
+                if self.diagnostics:
+                    sp.incr("learner.lint_findings", len(self.diagnostics))
+                    sp.incr(
+                        "learner.lint_errors",
+                        sum(1 for d in self.diagnostics if d.is_error),
+                    )
+                self._models = self._dedupe(self._build_models(space))
+                self._build_checks = self._checks
+                self._build_s = time.monotonic() - start
+            result = self._learn(space, self._models, time.monotonic(), self._checks)
+            # only this call's oracle work, so repeated calls add up right
+            sp.incr("learner.checks", self._checks - checks_before)
             sp.incr("learner.hypotheses_learned")
             sp.set(
                 cost=result.cost,
@@ -340,49 +354,42 @@ class DecomposableLearner:
             )
             return result
 
-    def _learn(self) -> LearnedHypothesis:
-        start = time.monotonic()
-        space = list(self.task.hypothesis_space)
-        models = self._dedupe(self._build_models(space))
-
+    def _learn(
+        self,
+        space: List[CandidateRule],
+        models: List[_ExampleModel],
+        start: float,
+        first_check: int,
+    ) -> LearnedHypothesis:
         # Hard-filter candidates that break any example (a needs_none
-        # example's flag, or a needs_one example's bad flag), unless a
+        # example's flag, or a needs_one example's bad bit), unless a
         # violation budget could absorb it (then keep them in play).
         if self.max_violations == 0:
-            def breaks_something(i: int) -> bool:
-                for m in models:
-                    if m.kind == "needs_none" and m.flags[i]:
-                        return True
-                    if m.kind == "needs_one" and m.broken_by(i):
-                        return True
-                return False
-
-            allowed = [i for i in range(len(space)) if not breaks_something(i)]
-            space_f = [space[i] for i in allowed]
-            models_f = [
+            breaking = 0
+            for m in models:
+                breaking |= m.flags if m.kind == "needs_none" else m.bad
+            allowed = [i for i in range(len(space)) if not breaking >> i & 1]
+            space = [space[i] for i in allowed]
+            models = [
                 _ExampleModel(
                     m.kind,
-                    [m.flags[i] for i in allowed],
+                    _restrict(m.flags, allowed),
                     m.already,
                     m.weight,
-                    [m.bad_flags[i] for i in allowed]
-                    if m.bad_flags is not None
-                    else None,
+                    _restrict(m.bad, allowed),
                 )
                 for m in models
             ]
-        else:
-            space_f, models_f = space, models
 
-        selected = self._search(space_f, models_f)
+        selected = self._search(space, models)
         if selected is None:
             raise UnsatisfiableTaskError(
                 "no decomposable hypothesis within limits "
                 f"({self.max_rules} rules, {self.max_violations} violations)"
             )
-        hypothesis = [space_f[i] for i in selected]
+        hypothesis = [space[i] for i in selected]
         violations = self._verify(hypothesis)
-        if violations is None or violations > self.max_violations:
+        if violations > self.max_violations:
             raise LearningError(
                 "decomposability assumption failed verification; "
                 "use the exact learner (learn_auto falls back automatically)"
@@ -391,20 +398,20 @@ class DecomposableLearner:
             hypothesis,
             int(sum(c.cost for c in hypothesis)),
             violations,
-            checks=(len(space) + 1) * (len(self.task.positive) + len(self.task.negative)),
-            elapsed=time.monotonic() - start,
-            space_size=len(space),
+            checks=self._build_checks + self._checks - first_check,
+            elapsed=self._build_s + time.monotonic() - start,
+            space_size=len(self.task.hypothesis_space),
         )
 
-    def _verify(self, hypothesis: Sequence[CandidateRule]) -> Optional[int]:
-        """Full-oracle violation count for the found hypothesis."""
+    def _verify(self, hypothesis: Sequence[CandidateRule]) -> int:
+        """Full-oracle violation weight of the found hypothesis."""
         total = 0
-        for example in self.task.positive:
-            if not self.task.positive_holds(hypothesis, example):
-                total += example.weight
-        for example in self.task.negative:
-            if not self.task.negative_holds(hypothesis, example):
-                total += example.weight
+        for example, weight in self._positives:
+            if not self._positive(hypothesis, example):
+                total += weight
+        for example, weight in self._negatives:
+            if not self._negative(hypothesis, example):
+                total += weight
         return total
 
 
@@ -441,11 +448,12 @@ def learn_auto(
                 allowed *= 2
                 violation_budgets.append(min(allowed, total_weight))
         last_error: Optional[LearningError] = None
+        # one learner, so every budget reuses its coverage model
+        fast = DecomposableLearner(task, max_rules=max_rules)
         for allowed in violation_budgets:
+            fast.max_violations = allowed
             try:
-                return DecomposableLearner(
-                    task, max_rules=max_rules, max_violations=allowed
-                ).learn()
+                return fast.learn()
             except UnsatisfiableTaskError as error:
                 last_error = error
             except ResourceError:

@@ -19,16 +19,20 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.asp.atoms import Atom
+from repro.asp.atoms import Atom, Comparison
 from repro.asp.parser import parse_program
-from repro.asp.rules import Program, Rule
+from repro.asp.rules import NormalRule, Program, Rule, body_literals, fact, head_atoms
 from repro.asp.solver import solve
 from repro.asg.annotated import ASG
 from repro.asg.semantics import accepts
+from repro.errors import GroundingError
 from repro.grammar.cfg import SymbolString
 from repro.learning.mode_bias import CandidateRule
 
 __all__ = ["ContextExample", "ASGLearningTask", "PartialInterpretation", "LASTask"]
+
+_UNSOLVED = object()
+_IRREDUCIBLE = object()
 
 
 class ContextExample:
@@ -161,8 +165,88 @@ class PartialInterpretation:
         return f"<inc: {{{inc}}} exc: {{{exc}}}>"
 
 
+class _Split:
+    """One example's program ``B ∪ C`` split below the candidate heads.
+
+    ``top`` holds the candidate heads and, closed under the rules of
+    ``B ∪ C``, every head of a rule that reads or derives a ``top``
+    predicate; the rules mentioning none of them form the *bottom*.
+    ``model`` is the bottom's unique answer set, or ``None`` when the
+    bottom has no answer set.
+    """
+
+    __slots__ = ("top", "model", "_fired")
+
+    def __init__(self, top: FrozenSet[Tuple[str, int]], model: Optional[FrozenSet[Atom]]):
+        self.top = top
+        self.model = model
+        # rule -> its head if it fires, None if not, _IRREDUCIBLE
+        self._fired: Dict[Rule, object] = {}
+
+    def fired_heads(self, hypothesis: Sequence[CandidateRule]) -> Optional[List[Atom]]:
+        """Heads of the candidates whose bodies hold in the bottom model,
+        in hypothesis order; ``None`` when some candidate does not reduce."""
+        heads: List[Atom] = []
+        for candidate in hypothesis:
+            head = self._fired.get(candidate.rule, _UNSOLVED)
+            if head is _UNSOLVED:
+                head = self._fired[candidate.rule] = self._fire(candidate.rule)
+            if head is _IRREDUCIBLE:
+                return None
+            if head is not None:
+                heads.append(head)
+        return heads
+
+    def _fire(self, rule: Rule) -> object:
+        """A ground normal rule with its head in ``top`` and a body that
+        reads no ``top`` predicate reduces to its head or to nothing."""
+        if (
+            not isinstance(rule, NormalRule)
+            or rule.head is None
+            or rule.head.signature not in self.top
+            or not rule.is_ground()
+            or any(lit.atom.signature in self.top for lit in body_literals(rule))
+        ):
+            return _IRREDUCIBLE
+        if self.model is not None and _body_holds(rule, self.model):
+            return rule.head
+        return None
+
+
+def _body_holds(rule: NormalRule, model: FrozenSet[Atom]) -> bool:
+    """Whether a ground body holds in ``model``, evaluated as the grounder
+    does: arithmetic is computed, and a failing evaluation drops the rule."""
+    try:
+        for elem in rule.body:
+            if isinstance(elem, Comparison):
+                if not elem.holds():
+                    return False
+            elif (elem.atom.evaluate() in model) != elem.positive:
+                return False
+    except GroundingError:
+        return False
+    return True
+
+
 class LASTask:
-    """A Learning-from-Answer-Sets task ``<B, S_M, E+, E->``."""
+    """A Learning-from-Answer-Sets task ``<B, S_M, E+, E->``.
+
+    The oracle solves a reduced program when it can.  Let ``top`` be the
+    predicates that depend, in ``B ∪ C``, on a head of the hypothesis
+    space, together with the other heads of any rule deriving one (a
+    choice rule's elements stay on one side), and the *bottom* the rules
+    of ``B ∪ C`` that mention none of them.  When every candidate of
+    ``H`` is a ground normal rule whose body reads no ``top`` predicate,
+    and the bottom has at most one answer set, the splitting-set
+    theorem gives ``B ∪ C ∪ H`` the same answer sets as ``B ∪ C ∪ F``,
+    where ``F`` holds the heads of the candidates whose bodies are true
+    in the bottom's answer set.  So
+    ``positive_holds`` solves once per ``(F, example)`` instead of once
+    per ``(H, example)``, and an unsatisfiable bottom fails every ``H``.
+    Otherwise, or when the reduced solve reaches ``max_models`` answer
+    sets (and so might not have seen the ones the full solve would), the
+    oracle solves ``B ∪ C ∪ H`` itself.
+    """
 
     def __init__(
         self,
@@ -179,6 +263,14 @@ class LASTask:
         self.negative = list(negative)
         self.max_models = max_models
         self.use_fast_path = use_fast_path
+        self._heads = frozenset(
+            atom.signature for c in self.hypothesis_space for atom in head_atoms(c.rule)
+        )
+        # example key -> its split, or None when the bottom is ambiguous
+        self._splits: Dict[tuple, Optional[_Split]] = {}
+        # (frozenset of fired heads, example key) -> covered, or None
+        # when the reduced solve was inconclusive
+        self._reduced_cache: Dict[tuple, Optional[bool]] = {}
         self._oracle_cache: Dict[tuple, bool] = {}
 
     def constraints_only(self) -> bool:
@@ -187,31 +279,90 @@ class LASTask:
             for c in self.hypothesis_space
         )
 
-    def _program(self, hypothesis: Sequence[CandidateRule], context: Program) -> Program:
+    def _program(self, rules: Iterable[Rule], context: Program) -> Program:
         program = Program(list(self.background))
         program.extend(context)
-        for candidate in hypothesis:
-            program.add(candidate.rule)
+        program.extend(rules)
         return program
+
+    def _split(self, example: PartialInterpretation, key: tuple) -> Optional[_Split]:
+        """The example's split, memoised; ``None`` when its bottom has
+        more than one answer set."""
+        split = self._splits.get(key, _UNSOLVED)
+        if split is not _UNSOLVED:
+            return split
+        rules = list(self.background) + list(example.context)
+        shapes = [
+            (
+                {atom.signature for atom in head_atoms(rule)},
+                {lit.atom.signature for lit in body_literals(rule)},
+            )
+            for rule in rules
+        ]
+        top = set(self._heads)
+        changed = True
+        while changed:
+            changed = False
+            for heads, body in shapes:
+                # a rule that reads or derives a top predicate puts all
+                # its heads in top: the choice rule ``{ h; p }.`` with h
+                # in top leaves p no bottom definition
+                touches = not (top.isdisjoint(heads) and top.isdisjoint(body))
+                if touches and not heads <= top:
+                    top |= heads
+                    changed = True
+        bottom = Program(
+            rule
+            for rule, (heads, body) in zip(rules, shapes)
+            if top.isdisjoint(heads) and top.isdisjoint(body)
+        )
+        models = solve(bottom, max_models=2, use_fast_path=self.use_fast_path)
+        split = None
+        if len(models) < 2:
+            split = _Split(frozenset(top), models[0] if models else None)
+        self._splits[key] = split
+        return split
+
+    def _covered(
+        self, program: Program, example: PartialInterpretation
+    ) -> Tuple[bool, int]:
+        """Whether some answer set found covers ``example``, and how many
+        answer sets the solve returned."""
+        models = solve(
+            program, max_models=self.max_models, use_fast_path=self.use_fast_path
+        )
+        return any(example.covered_by(model) for model in models), len(models)
 
     def positive_holds(
         self, hypothesis: Sequence[CandidateRule], example: PartialInterpretation
     ) -> bool:
         """Some answer set of ``B ∪ H ∪ C`` covers the partial interpretation."""
-        key = (frozenset(hypothesis), example.key())
+        example_key = example.key()
+        split = self._split(example, example_key)
+        heads = split.fired_heads(hypothesis) if split is not None else None
+        if heads is not None:
+            if split.model is None:
+                return False
+            key = (frozenset(heads), example_key)
+            result = self._reduced_cache.get(key, _UNSOLVED)
+            if result is _UNSOLVED:
+                facts = [fact(head) for head in dict.fromkeys(heads)]
+                covered, found = self._covered(
+                    self._program(facts, example.context), example
+                )
+                exhaustive = self.max_models is None or found < self.max_models
+                result = covered if exhaustive else None
+                self._reduced_cache[key] = result
+            if result is not None:
+                return result
+        key = (frozenset(hypothesis), example_key)
         cached = self._oracle_cache.get(key)
-        if cached is not None:
-            return cached
-        program = self._program(hypothesis, example.context)
-        result = False
-        for model in solve(
-            program, max_models=self.max_models, use_fast_path=self.use_fast_path
-        ):
-            if example.covered_by(model):
-                result = True
-                break
-        self._oracle_cache[key] = result
-        return result
+        if cached is None:
+            cached, __ = self._covered(
+                self._program([c.rule for c in hypothesis], example.context), example
+            )
+            self._oracle_cache[key] = cached
+        return cached
 
     def negative_holds(
         self, hypothesis: Sequence[CandidateRule], example: PartialInterpretation

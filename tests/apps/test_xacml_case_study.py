@@ -160,3 +160,50 @@ class TestNoisyData:
         model = XacmlLearningPipeline(filter_noise=True).learn(log)
         assert all("not_applicable" not in t for t in model.rule_texts())
         assert semantic_accuracy(model, gt) >= 0.9
+
+
+class TestOracleWork:
+    """Learning from a noisy log costs a few solves per distinct example."""
+
+    def test_solves_per_distinct_example_and_one_coverage_build(self, monkeypatch):
+        from repro.datasets.xacml_conformance import entry_to_example
+        from repro.learning import decomposable, tasks
+
+        ground_truth = default_ground_truth()
+        log = (
+            inject_flips(sample_log(ground_truth, 60, seed=4), rate=0.2, seed=4)
+            + sample_log(ground_truth, 60, seed=5)
+            + sample_log(ground_truth, 60, seed=6)
+        )
+        assert len(log) == 180
+        distinct = len({entry_to_example(e).key() for e in log})
+
+        calls = {"solve": 0, "build": 0, "learn": 0}
+        real_solve = tasks.solve
+        real_build = decomposable.DecomposableLearner._build_models
+        real_learn = decomposable.DecomposableLearner.learn
+
+        def counting_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return real_solve(*args, **kwargs)
+
+        def counting_build(self, space):
+            calls["build"] += 1
+            return real_build(self, space)
+
+        def counting_learn(self):
+            calls["learn"] += 1
+            return real_learn(self)
+
+        monkeypatch.setattr(tasks, "solve", counting_solve)
+        monkeypatch.setattr(
+            decomposable.DecomposableLearner, "_build_models", counting_build
+        )
+        monkeypatch.setattr(decomposable.DecomposableLearner, "learn", counting_learn)
+        model = XacmlLearningPipeline().learn(log)
+        assert semantic_accuracy(model, ground_truth) == 1.0
+        assert calls["solve"] <= 4 * distinct
+        # the noise makes learn_auto try several violation budgets; they
+        # share one coverage model
+        assert calls["learn"] > 1
+        assert calls["build"] == 1

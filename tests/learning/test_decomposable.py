@@ -103,44 +103,66 @@ class TestViolationBudgets:
         assert result.violations >= 1
 
 
+def definite_task():
+    from repro.learning import ModeAtom, ModeBias, Placeholder
+
+    bias = ModeBias(
+        head_modes=[ModeAtom(Atom("decision", [Constant("permit")]))],
+        body_modes=[ModeAtom(Atom("role", [Placeholder("role")]))],
+        pools={"role": [Constant("dba"), Constant("dev"), Constant("guest")]},
+        max_body=1,
+        allow_constraints=False,
+        allow_negation=False,
+    )
+    background = parse_program("decision(deny) :- not decision(permit).")
+
+    def example(decision, role):
+        other = "deny" if decision == "permit" else "permit"
+        return PartialInterpretation(
+            inclusions=[parse_atom(f"decision({decision})")],
+            exclusions=[parse_atom(f"decision({other})")],
+            context=parse_program(f"role({role})."),
+        )
+
+    return LASTask(
+        background,
+        bias.generate(),
+        [
+            example("permit", "dba"),
+            example("permit", "dev"),
+            example("deny", "guest"),
+        ],
+        [],
+    )
+
+
 class TestLASDecomposition:
     def test_definite_rule_cover(self):
-        from repro.learning import ModeAtom, ModeBias, Placeholder
-
-        bias = ModeBias(
-            head_modes=[ModeAtom(Atom("decision", [Constant("permit")]))],
-            body_modes=[ModeAtom(Atom("role", [Placeholder("role")]))],
-            pools={"role": [Constant("dba"), Constant("dev"), Constant("guest")]},
-            max_body=1,
-            allow_constraints=False,
-            allow_negation=False,
-        )
-        background = parse_program("decision(deny) :- not decision(permit).")
-
-        def example(decision, role):
-            other = "deny" if decision == "permit" else "permit"
-            return PartialInterpretation(
-                inclusions=[parse_atom(f"decision({decision})")],
-                exclusions=[parse_atom(f"decision({other})")],
-                context=parse_program(f"role({role})."),
-            )
-
-        task = LASTask(
-            background,
-            bias.generate(),
-            [
-                example("permit", "dba"),
-                example("permit", "dev"),
-                example("deny", "guest"),
-            ],
-            [],
-        )
-        result = DecomposableLearner(task).learn()
+        result = DecomposableLearner(definite_task()).learn()
         texts = {repr(c.rule) for c in result.candidates}
         assert texts == {
             "decision(permit) :- role(dba).",
             "decision(permit) :- role(dev).",
         }
+
+    def test_repeated_learn_counts_the_build_once(self):
+        """A second learn() reuses the coverage model: its span records
+        only the verification's oracle calls, while each result reports
+        the build plus its own calls."""
+        from repro.telemetry import Tracer, summarize, tracer_scope
+
+        learner = DecomposableLearner(definite_task())
+        tracer = Tracer()
+        with tracer_scope(tracer):
+            first = learner.learn()
+            built = learner._checks
+            second = learner.learn()
+        verify = learner._checks - built
+        assert verify == 3  # one full-oracle call per distinct example
+        assert first.checks == built
+        assert second.checks == built
+        assert summarize(tracer.spans)["counters"]["learner.checks"] == built + verify
+        assert second.elapsed >= learner._build_s
 
     def test_deny_examples_block_overbroad_rules(self):
         """A deny log entry is a *positive* example satisfied by the
