@@ -24,11 +24,12 @@ The coverage model is built once per learner, from the *distinct*
 examples (grouped by ``key()``, weights summed), and each coverage row
 is an int bitmask over the hypothesis space, so the search works with
 mask operations.  :func:`learn_auto` reuses one learner across its
-violation budgets.  On a :class:`~repro.learning.tasks.LASTask` whose
-candidates are ground normal rules over a bottom part with a unique
-answer set, the oracle itself solves once per (example, fired heads)
-rather than once per candidate (see its docstring), so building the
-model costs a few solves per distinct example.
+violation budgets.  When the candidates are ground normal rules or
+constraints over a bottom part with a unique answer set, the task
+oracles themselves ground once per distinct example (once per parse
+tree for an :class:`~repro.learning.tasks.ASGLearningTask`) rather than
+once per candidate (see their docstrings), so building the model costs
+a few solves per distinct example.
 """
 
 from __future__ import annotations

@@ -143,24 +143,34 @@ class ILASPLearner:
 
     # -- oracle with memoization ------------------------------------------
 
-    def _positive_ok(self, hypothesis: Sequence[CandidateRule], index: int) -> bool:
-        key = (frozenset(hypothesis), index, True)
-        cached = self._memo.get(key)
+    def _positive_ok(
+        self,
+        hypothesis: Sequence[CandidateRule],
+        key: FrozenSet[CandidateRule],
+        index: int,
+    ) -> bool:
+        memo_key = (key, index, True)
+        cached = self._memo.get(memo_key)
         if cached is None:
             self._bump()
             cached = self.task.positive_holds(hypothesis, self.task.positive[index])
-            self._memo[key] = cached
+            self._memo[memo_key] = cached
         else:
             self._memo_hits += 1
         return cached
 
-    def _negative_ok(self, hypothesis: Sequence[CandidateRule], index: int) -> bool:
-        key = (frozenset(hypothesis), index, False)
-        cached = self._memo.get(key)
+    def _negative_ok(
+        self,
+        hypothesis: Sequence[CandidateRule],
+        key: FrozenSet[CandidateRule],
+        index: int,
+    ) -> bool:
+        memo_key = (key, index, False)
+        cached = self._memo.get(memo_key)
         if cached is None:
             self._bump()
             cached = self.task.negative_holds(hypothesis, self.task.negative[index])
-            self._memo[key] = cached
+            self._memo[memo_key] = cached
         else:
             self._memo_hits += 1
         return cached
@@ -178,20 +188,22 @@ class ILASPLearner:
     # -- violation accounting ----------------------------------------------
 
     def _violation_weight(self, hypothesis: Sequence[CandidateRule]) -> int:
+        key = frozenset(hypothesis)
         total = 0
         for index, example in enumerate(self.task.positive):
-            if not self._positive_ok(hypothesis, index):
+            if not self._positive_ok(hypothesis, key, index):
                 total += example.weight
         for index, example in enumerate(self.task.negative):
-            if not self._negative_ok(hypothesis, index):
+            if not self._negative_ok(hypothesis, key, index):
                 total += example.weight
         return total
 
     def _positive_violation_weight(self, hypothesis: Sequence[CandidateRule]) -> int:
+        key = frozenset(hypothesis)
         return sum(
             example.weight
             for index, example in enumerate(self.task.positive)
-            if not self._positive_ok(hypothesis, index)
+            if not self._positive_ok(hypothesis, key, index)
         )
 
     # -- search --------------------------------------------------------------
@@ -304,8 +316,9 @@ class ILASPLearner:
             return space
         kept = []
         for candidate in space:
+            key = frozenset([candidate])
             if all(
-                self._positive_ok([candidate], i)
+                self._positive_ok([candidate], key, i)
                 for i in range(len(self.task.positive))
             ):
                 kept.append(candidate)

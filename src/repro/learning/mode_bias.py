@@ -110,9 +110,13 @@ class ModeAtom:
 
 
 class CandidateRule:
-    """A hypothesis-space element: a rule, where it may attach, and its cost."""
+    """A hypothesis-space element: a rule, where it may attach, and its cost.
 
-    __slots__ = ("rule", "prod_id", "cost")
+    Candidates are immutable: the learners key their memo tables on sets
+    of them, so the hash is computed once.
+    """
+
+    __slots__ = ("rule", "prod_id", "cost", "_hash")
 
     def __init__(self, rule: Rule, prod_id: Optional[int] = None, cost: Optional[int] = None):
         self.rule = rule
@@ -121,6 +125,7 @@ class CandidateRule:
             cost = len(rule.body) + (0 if getattr(rule, "head", None) is None else 1)
             cost = max(cost, 1)
         self.cost = cost
+        self._hash = hash((rule, prod_id))
 
     def key(self) -> tuple:
         return (self.rule, self.prod_id)
@@ -133,7 +138,7 @@ class CandidateRule:
         return isinstance(other, CandidateRule) and self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return self._hash
 
 
 class ModeBias:

@@ -1,5 +1,7 @@
 """Tests for the coalition data-sharing application (paper Section IV.D)."""
 
+import itertools
+
 import pytest
 
 from repro.apps.datasharing import (
@@ -7,8 +9,16 @@ from repro.apps.datasharing import (
     HELPERS,
     HelperSelectionLearner,
     correct_helper,
+    datasharing_asg,
+    offer_to_context,
     sample_offers,
     sharing_allowed,
+)
+from repro.apps.datasharing.domain import (
+    DATA_TYPES,
+    QUALITY_LEVELS,
+    TRUST_LEVELS,
+    VALUE_LEVELS,
 )
 
 
@@ -64,3 +74,42 @@ class TestLearning:
         assert HelperSelectionLearner.correct_string(
             DataOffer("untrusted", "imagery", "low", "high")
         ) == ("refuse",)
+
+
+class TestOracleWork:
+    """Learning grounds once per (distinct example, parse tree)."""
+
+    def test_grounds_at_most_once_per_tree_of_each_distinct_example(self, monkeypatch):
+        from repro.asp import solver
+        from repro.grammar import parse_trees
+        from repro.learning import ContextExample
+
+        offers = [
+            DataOffer(*kind)
+            for kind in itertools.product(
+                TRUST_LEVELS, DATA_TYPES, QUALITY_LEVELS, VALUE_LEVELS
+            )
+        ]
+        assert len(offers) == 24
+        strings = [("refuse",)] + [("route", helper) for helper in HELPERS]
+        distinct = {}
+        for offer in offers:
+            for string in strings:
+                example = ContextExample(string, offer_to_context(offer).program)
+                distinct[example.key()] = example
+        cfg = datasharing_asg().cfg
+        trees = sum(len(parse_trees(cfg, e.tokens)) for e in distinct.values())
+
+        grounds = 0
+        real_ground = solver.ground_program
+
+        def counting_ground(*args, **kwargs):
+            nonlocal grounds
+            grounds += 1
+            return real_ground(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "ground_program", counting_ground)
+        learner = HelperSelectionLearner().fit(offers)
+        monkeypatch.undo()
+        assert grounds <= trees
+        assert learner.accuracy(offers) == 1.0

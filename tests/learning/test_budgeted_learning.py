@@ -41,8 +41,16 @@ def test_unbudgeted_learning_is_not_degraded():
     assert result.cost == 4
 
 
+def short_budget() -> Budget:
+    """Half the steps an unlimited, metered learn of the same task uses,
+    so the budget always runs out mid-search."""
+    meter = Budget()
+    learn(make_task(), budget=meter)
+    return Budget(max_steps=meter.steps_used // 2)
+
+
 def test_exhausted_budget_returns_degraded_best_so_far():
-    result = learn(make_task(), budget=Budget(max_steps=500))
+    result = learn(make_task(), budget=short_budget())
     assert result.degraded
     # a usable (possibly imperfect) hypothesis, not an exception
     assert result.cost >= 0
@@ -51,7 +59,7 @@ def test_exhausted_budget_returns_degraded_best_so_far():
 
 def test_degradation_can_be_disabled():
     with pytest.raises(BudgetExceededError):
-        learn(make_task(), budget=Budget(max_steps=500), degrade_on_exhaustion=False)
+        learn(make_task(), budget=short_budget(), degrade_on_exhaustion=False)
 
 
 def test_generous_budget_matches_unbudgeted_result():

@@ -15,6 +15,7 @@ import pytest
 from repro.asp import parse_atom, parse_program, parse_rule, solve
 from repro.asp.rules import Program
 from repro.learning import CandidateRule, LASTask, PartialInterpretation
+from repro.learning.tasks import _KILLED
 
 
 def reference(task, hypothesis, example):
@@ -80,7 +81,7 @@ ATOMS = ["d(a)", "d(b)", "e", "h(a)", "k(b)", "r(a)", "r(b)"]
 FACTS = ["p(a).", "p(b).", "q(a).", "q(b)."]
 
 
-def random_task(seed):
+def random_task(seed, constraints=0):
     rng = random.Random(seed)
     background = parse_program(
         "\n".join(rng.sample(BACKGROUND_POOL, rng.randint(2, len(BACKGROUND_POOL))))
@@ -97,6 +98,10 @@ def random_task(seed):
         if rng.random() < 0.3:
             context += " q(X) :- p(X), not s(a)."  # a non-fact, bottom context rule
         examples.append(example(atoms[:1], atoms[1:rng.randint(1, 3)], context))
+    # ground constraints, over bottom literals and (irreducible) heads
+    for __ in range(constraints):
+        body = rng.sample(BODY_LITERALS + HEADS, rng.randint(1, 2))
+        space += candidates(f":- {', '.join(body)}.")
     return LASTask(background, space, examples, []), examples, rng
 
 
@@ -105,6 +110,13 @@ def test_random_tasks_match_reference(seed):
     task, examples, rng = random_task(seed)
     check_all(task, examples, rng)
     assert task._reduced_cache  # the reduction did the work
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_tasks_with_constraints_match_reference(seed):
+    task, examples, rng = random_task(seed, constraints=3)
+    check_all(task, examples, rng)
+    assert task._reduced_cache
 
 
 # -- each fallback --------------------------------------------------------------
@@ -198,10 +210,25 @@ def test_top_with_max_models_answer_sets_falls_back():
     assert task._oracle_cache
 
 
+def test_ground_constraint_over_the_bottom_reduces():
+    space = candidates("h(b) :- p(b).", ":- p(a).", ":- p(b).")
+    ex = example(["p(a)"], ["d(b)"], "p(a).")
+    task = LASTask(parse_program("d(X) :- h(X)."), space, [ex], [])
+    check_all(task, [ex], random.Random(6))
+    split = task._split(ex, ex.key())
+    # p(a) holds in the bottom model, so ":- p(a)." kills every answer
+    # set; p(b) does not, so ":- p(b)." drops out
+    assert split.fired_heads(space[1:2]) is _KILLED
+    assert split.fired_heads(space[2:]) == []
+    assert task.positive_holds([], ex)
+    assert not task.positive_holds(space[1:2], ex)
+    assert task.positive_holds(space[2:], ex)
+    assert not task._oracle_cache  # no full-program solve ran
+
+
 @pytest.mark.parametrize(
     "odd",
     [
-        ":- p(a).",  # constraint
         "{ h(a) } :- p(a).",  # choice
         "h(X) :- p(X).",  # non-ground
     ],
