@@ -97,7 +97,7 @@ class AutonomousManagedSystem:
             budget_factory=decision_budget,
             breaker=breaker,
         )
-        self.pep = PolicyEnforcementPoint(ManagedResource(name))
+        self.pep = PolicyEnforcementPoint(ManagedResource(name), log=self.log)
         goal_objects = specification.goal_objects()
         self.goal_monitor = GoalMonitor(goal_objects) if goal_objects else None
 

@@ -16,7 +16,7 @@ sequences (cross-run determinism; no module-level global counter).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.contexts import Context
 from repro.policy.model import Decision, Request
@@ -114,27 +114,97 @@ class LogStats(NamedTuple):
 
 
 class MonitoringLog:
-    """Append-only history of decision records with outcome feedback."""
+    """Append-only history of decision records with outcome feedback.
+
+    Every per-decision step costs O(1) whatever the history length:
+
+    * an id → position index makes :meth:`mark_outcome` and
+      :meth:`mark_enforced` dict lookups.  When ids repeat (logs merged
+      from several parties, each numbering from 1) the first appended
+      record owns the id;
+    * running counts, kept by :meth:`append` and the two ``mark_*``
+      methods, make :meth:`stats` read counters instead of scanning;
+    * a review journal lists the position of each record reviewed, in
+      review order, so :meth:`reviewed_since` hands a consumer (the
+      PAdaP) only what changed since its last read.
+
+    The counts stay exact only if outcome and enforcement writes go
+    through the log (``mark_outcome``/``mark_enforced``), never by
+    setting a record's attributes directly.  A record appended to two
+    logs is counted by each as it stood when appended.
+    """
 
     def __init__(self) -> None:
         self._records: List[DecisionRecord] = []
         self._ids = itertools.count(1)
+        self._epoch = 0  # bumped by clear(), so stale review cursors restart
+        self._reset()
+
+    def _reset(self) -> None:
+        self._index: Dict[int, int] = {}
+        self._journal: List[int] = []
+        self._by_decision: Dict[str, int] = {}
+        # keyed by outcome_ok: None = unreviewed, True = ok, False = flagged
+        self._outcomes: Dict[Optional[bool], int] = {None: 0, True: 0, False: 0}
+        self._degraded = 0
+        self._enforced = 0
 
     def append(self, record: DecisionRecord) -> DecisionRecord:
         if record.record_id is None:
             record.record_id = next(self._ids)
+        position = len(self._records)
         self._records.append(record)
+        self._index.setdefault(record.record_id, position)
+        effect = record.decision.value
+        self._by_decision[effect] = self._by_decision.get(effect, 0) + 1
+        self._degraded += bool(record.degraded)
+        self._enforced += bool(record.enforced)
+        self._outcomes[record.outcome_ok] += 1
+        if record.outcome_ok is not None:
+            self._journal.append(position)
         return record
 
     def records(self) -> List[DecisionRecord]:
         return list(self._records)
 
+    def _position(self, record_id: int) -> int:
+        position = self._index.get(record_id)
+        if position is None:
+            raise KeyError(f"no record with id {record_id}")
+        return position
+
     def mark_outcome(self, record_id: int, ok: bool) -> None:
-        for record in self._records:
-            if record.record_id == record_id:
-                record.outcome_ok = ok
-                return
-        raise KeyError(f"no record with id {record_id}")
+        position = self._position(record_id)
+        record = self._records[position]
+        ok = bool(ok)
+        self._outcomes[record.outcome_ok] -= 1
+        self._outcomes[ok] += 1
+        record.outcome_ok = ok
+        self._journal.append(position)
+
+    def mark_enforced(self, record_id: int) -> None:
+        """Record that the PEP applied the decision of ``record_id``."""
+        record = self._records[self._position(record_id)]
+        if not record.enforced:
+            record.enforced = True
+            self._enforced += 1
+
+    def reviewed_since(
+        self, cursor: Optional[Tuple[int, int]] = None
+    ) -> Tuple[List[DecisionRecord], Tuple[int, int]]:
+        """Records reviewed since ``cursor``, once each and in log order,
+        plus the cursor to pass next time.
+
+        ``None`` (or a cursor from before a :meth:`clear`) reads the whole
+        journal.  The cost grows with the reviews since ``cursor``, not
+        with the history length.
+        """
+        start = cursor[1] if cursor is not None and cursor[0] == self._epoch else 0
+        positions = sorted(set(self._journal[start:]))
+        return (
+            [self._records[position] for position in positions],
+            (self._epoch, len(self._journal)),
+        )
 
     def violations(self) -> List[DecisionRecord]:
         """Records whose outcome was flagged bad — adaptation triggers."""
@@ -151,37 +221,25 @@ class MonitoringLog:
         return [r for r in self._records if r.degraded]
 
     def stats(self) -> LogStats:
-        """Fold the history into a :class:`LogStats` aggregate."""
+        """The history as a :class:`LogStats` aggregate, read from the
+        running counts in O(1)."""
         total = len(self._records)
-        by_decision: Dict[str, int] = {}
-        degraded = enforced = violations = confirmations = unreviewed = 0
-        for record in self._records:
-            effect = record.decision.value
-            by_decision[effect] = by_decision.get(effect, 0) + 1
-            if record.degraded:
-                degraded += 1
-            if record.enforced:
-                enforced += 1
-            if record.outcome_ok is None:
-                unreviewed += 1
-            elif record.outcome_ok:
-                confirmations += 1
-            else:
-                violations += 1
         return LogStats(
             total=total,
-            by_decision=by_decision,
-            degraded=degraded,
-            degraded_rate=degraded / total if total else 0.0,
-            enforced=enforced,
-            enforcement_rate=enforced / total if total else 0.0,
-            violations=violations,
-            confirmations=confirmations,
-            unreviewed=unreviewed,
+            by_decision=dict(self._by_decision),
+            degraded=self._degraded,
+            degraded_rate=self._degraded / total if total else 0.0,
+            enforced=self._enforced,
+            enforcement_rate=self._enforced / total if total else 0.0,
+            violations=self._outcomes[False],
+            confirmations=self._outcomes[True],
+            unreviewed=self._outcomes[None],
         )
 
     def clear(self) -> None:
         self._records.clear()
+        self._epoch += 1
+        self._reset()
 
     def __len__(self) -> int:
         return len(self._records)

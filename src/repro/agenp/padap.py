@@ -10,12 +10,13 @@ Representations Repository.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import weakref
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.contexts import Context
 from repro.core.gpm import GenerativePolicyModel
 from repro.core.workflow import LabeledExample, learn_gpm
-from repro.agenp.monitoring import DecisionRecord, MonitoringLog
+from repro.agenp.monitoring import MonitoringLog
 from repro.agenp.pcp import PolicyCheckingPoint
 from repro.agenp.repositories import RepresentationsRepository
 from repro.errors import UnsatisfiableTaskError
@@ -25,8 +26,18 @@ from repro.learning.mode_bias import CandidateRule
 __all__ = ["PolicyAdaptationPoint"]
 
 
+def _key(example: LabeledExample) -> tuple:
+    return (example.tokens, example.context, example.valid)
+
+
 class PolicyAdaptationPoint:
-    """Adapts the GPM from monitoring feedback."""
+    """Adapts the GPM from monitoring feedback.
+
+    Feedback is consumed incrementally: the PAdaP keeps the keys of the
+    examples it holds and, per log, a cursor into that log's review
+    journal, so each :meth:`ingest_feedback` reads only the records
+    reviewed since the previous one.
+    """
 
     def __init__(
         self,
@@ -42,11 +53,14 @@ class PolicyAdaptationPoint:
         self.max_violations = max_violations
         self.budget_factory = budget_factory
         self.examples: List[LabeledExample] = []
+        self._known: Set[tuple] = set()
+        self._cursors = weakref.WeakKeyDictionary()  # log -> review cursor
 
     # -- example management -----------------------------------------------
 
     def add_example(self, example: LabeledExample) -> None:
         self.examples.append(example)
+        self._known.add(_key(example))
         if self.pcp is not None and not example.valid:
             self.pcp.record_violation(example)
 
@@ -57,21 +71,20 @@ class PolicyAdaptationPoint:
         in context ``C`` becomes the negative example ``<p, C>``; a
         confirmed-good one becomes positive.  Returns how many new
         examples were ingested.
+
+        A record whose key the PAdaP already holds adds nothing, so only
+        records reviewed (or re-marked) since the last ingest from ``log``
+        can add examples; those are the only ones read.
         """
-        known = {
-            (e.tokens, e.context, e.valid) for e in self.examples
-        }
+        records, self._cursors[log] = log.reviewed_since(self._cursors.get(log))
         added = 0
-        for record in log.records():
-            if record.outcome_ok is None or not record.policy_text:
+        for record in records:
+            if not record.policy_text:
                 continue
-            tokens = tuple(record.policy_text.split())
             example = LabeledExample(
-                tokens, record.context, valid=record.outcome_ok
+                tuple(record.policy_text.split()), record.context, valid=record.outcome_ok
             )
-            key = (example.tokens, example.context, example.valid)
-            if key not in known:
-                known.add(key)
+            if _key(example) not in self._known:
                 self.add_example(example)
                 added += 1
         return added
@@ -81,8 +94,10 @@ class PolicyAdaptationPoint:
     def needs_adaptation(self, log: MonitoringLog) -> bool:
         """Adaptation triggers when the system "is not meeting the goals":
         any decision outcome was flagged bad, or decisions were served
-        degraded (the PDP fell back because of resource exhaustion)."""
-        return bool(log.violations()) or bool(log.degradations())
+        degraded (the PDP fell back because of resource exhaustion).
+        Reads the log's running counts, not its records."""
+        stats = log.stats()
+        return stats.violations > 0 or stats.degraded > 0
 
     def adapt(self) -> Tuple[GenerativePolicyModel, Optional[LearnedHypothesis]]:
         """Relearn the GPM over all accumulated examples and store it.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.agenp.monitoring import DecisionRecord
+from repro.agenp.monitoring import DecisionRecord, MonitoringLog
 from repro.policy.model import Decision
 
 __all__ = ["EnforcementResult", "PolicyEnforcementPoint", "ManagedResource"]
@@ -47,10 +47,20 @@ class EnforcementResult:
 
 
 class PolicyEnforcementPoint:
-    """Applies decisions: permit -> perform, anything else -> block."""
+    """Applies decisions: permit -> perform, anything else -> block.
 
-    def __init__(self, resource: Optional[ManagedResource] = None):
+    With a ``log``, enforcement is recorded through
+    :meth:`MonitoringLog.mark_enforced` so the log's enforced count stays
+    exact; the records enforced must then be that log's.
+    """
+
+    def __init__(
+        self,
+        resource: Optional[ManagedResource] = None,
+        log: Optional[MonitoringLog] = None,
+    ):
         self.resource = resource if resource is not None else ManagedResource("default")
+        self.log = log
         self.results: List[EnforcementResult] = []
 
     def enforce(self, record: DecisionRecord, action: str) -> EnforcementResult:
@@ -59,7 +69,10 @@ class PolicyEnforcementPoint:
             self.resource.perform(action)
         else:
             self.resource.block(action)
-        record.enforced = True
+        if self.log is not None:
+            self.log.mark_enforced(record.record_id)
+        else:
+            record.enforced = True
         result = EnforcementResult(record, executed, action)
         self.results.append(result)
         return result

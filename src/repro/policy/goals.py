@@ -95,6 +95,8 @@ class GoalMonitor:
     ``observe`` ingests one tick of metrics and returns the statuses;
     ``violations`` accumulates every failed evaluation, and
     ``needs_adaptation`` is the PBMS-goals trigger for the AGENP loop.
+    ``violation_count`` is a running count of the failed evaluations, so
+    the trigger costs O(1) however long the history grows.
     """
 
     def __init__(self, goals: Sequence[Union[ThresholdGoal, DeadlineGoal]]):
@@ -104,18 +106,20 @@ class GoalMonitor:
         self.goals = list(goals)
         self.tick = 0
         self.history: List[GoalStatus] = []
+        self.violation_count = 0
 
     def observe(self, metrics: Mapping[str, Number]) -> List[GoalStatus]:
         self.tick += 1
         statuses = [goal.evaluate(self.tick, metrics) for goal in self.goals]
         self.history.extend(statuses)
+        self.violation_count += sum(not status.satisfied for status in statuses)
         return statuses
 
     def violations(self) -> List[GoalStatus]:
         return [status for status in self.history if not status.satisfied]
 
     def needs_adaptation(self) -> bool:
-        return bool(self.violations())
+        return self.violation_count > 0
 
     def compliance_rate(self, goal_name: Optional[str] = None) -> float:
         relevant = [

@@ -34,6 +34,8 @@ class TestDecisionLoop:
         result = ams.decide_and_enforce(request("bob", "read"), "read-file")
         assert result.executed
         assert ams.pep.resource.performed == ["read-file"]
+        assert result.record.enforced
+        assert ams.log.stats().enforced == 1  # the PEP writes through the log
 
 
 class TestAdaptationLoop:

@@ -1,5 +1,7 @@
 """Unit tests for goal-based policies (Section I's second policy type)."""
 
+import random
+
 import pytest
 
 from repro.errors import PolicyError
@@ -84,3 +86,21 @@ class TestGoalMonitor:
             GoalMonitor(
                 [ThresholdGoal("g", "a", "ge", 1), ThresholdGoal("g", "b", "le", 2)]
             )
+
+    def test_running_violation_count_matches_history_scan(self):
+        rng = random.Random(7)
+        monitor = GoalMonitor(
+            [
+                ThresholdGoal("util", "utilization", "ge", 0.5),
+                ThresholdGoal("lat", "latency", "lt", 30),
+                DeadlineGoal("task", "done", deadline=40),
+            ]
+        )
+        for __ in range(200):
+            metrics = {"utilization": rng.random(), "done": rng.random() < 0.02}
+            if rng.random() < 0.9:  # sometimes the latency metric is missing
+                metrics["latency"] = rng.randrange(60)
+            monitor.observe(metrics)
+            scanned = sum(1 for status in monitor.history if not status.satisfied)
+            assert monitor.violation_count == scanned == len(monitor.violations())
+            assert monitor.needs_adaptation() == (scanned > 0)
