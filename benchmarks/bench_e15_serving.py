@@ -32,9 +32,10 @@ ROLES = ("dba", "dev", "auditor")
 def serving_pool(n_programs=8, n_users=8, n_resources=10):
     """A pool of access-control programs with genuine search effort.
 
-    Each program mixes stratified permit rules with a choice over audit
-    assignments and a constraint, so solving costs real propagation and
-    the stability machinery stays engaged.
+    Each program mixes stratified permit rules with an even loop over
+    audit assignments, so solving costs real search.  The positive
+    dependency graph stays acyclic (tight), so no candidate pays a
+    Gelfond–Lifschitz check.
     """
     pool = []
     for p in range(n_programs):

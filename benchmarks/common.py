@@ -39,8 +39,8 @@ def lint_and_solve(program, source=None, roots=(), **solve_kwargs):
 
     Returns ``(diagnostics, result)`` where ``result.stats`` carries the
     run's :class:`~repro.asp.solver.SolveStats` (including
-    ``stability_skips``, the Gelfond–Lifschitz checks the stratified
-    fast path avoided).  Both phases run under the ambient tracer, so
+    ``stability_skips``, the Gelfond–Lifschitz checks skipped because
+    the ground program is tight).  Both phases run under the ambient tracer, so
     the BENCH_* artifacts record lint findings next to solver counters.
     """
     diagnostics = lint_program(program, source=source, roots=roots)

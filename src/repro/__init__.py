@@ -39,13 +39,8 @@ cover the common serving loop::
     with repro.tracer_scope() as tracer:
         records = engine.decide_many(requests)
 
-Everything else stays importable from its subsystem module.  A few
-older top-level spellings remain importable but emit
-:class:`DeprecationWarning` (see ``_DEPRECATED`` below); new code
-should use the replacements named in the warning.
+Everything else stays importable from its subsystem module.
 """
-
-import warnings as _warnings
 
 __version__ = "0.1.0"
 
@@ -71,32 +66,3 @@ __all__ = [
     "ReproError",
     "__version__",
 ]
-
-# Deprecated top-level spellings: name -> (provider, attribute, replacement).
-# They keep working (served lazily via module __getattr__) but warn; the
-# test suite turns DeprecationWarning into an error, so nothing inside the
-# codebase may use them.
-_DEPRECATED = {
-    "lint_path": ("repro.analysis", "lint_path", "repro.lint_paths"),
-    "solve": ("repro.asp.solver", "solve", "repro.solve_program or repro.PolicyEngine.solve"),
-    "Engine": ("repro.engine", "PolicyEngine", "repro.PolicyEngine"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attribute, replacement = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    _warnings.warn(
-        f"repro.{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attribute)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED))

@@ -56,8 +56,7 @@ def evaluate_compiled(
 
     Returns ``(decision, winning policy text)`` — the pure, stateless
     core of :meth:`PolicyDecisionPoint.decide`, shared with the serving
-    engine's batch path (:meth:`repro.engine.PolicyEngine.decide_many`),
-    including its process-pool workers (everything here pickles).
+    engine's batch path (:meth:`repro.engine.PolicyEngine.decide_many`).
     """
     hits = []
     for stored, policy in compiled:

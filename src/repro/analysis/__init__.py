@@ -13,10 +13,11 @@ that gate — analyses that run without grounding or solving:
 * :mod:`repro.analysis.asg_lint` — annotation lints over answer set
   grammars (ASG001–ASG002);
 * :mod:`repro.analysis.mode_lint` — mode-bias lints over learning tasks
-  (MB001–MB002);
-* :mod:`repro.analysis.graphs` — dependency-graph algorithms (Tarjan
-  SCCs, stratification, tightness) shared with the solver's
-  stability-check fast path.
+  (MB001–MB002).
+
+The dependency-graph algorithms (Tarjan SCCs, stratification, tightness)
+live in :mod:`repro.asp.graphs`, next to the solver that shares them,
+and are re-exported here.
 
 Run the CLI with ``python -m repro.analysis lint <paths>``.
 """
@@ -29,7 +30,7 @@ from repro.analysis.diagnostics import (
     DiagnosticCollector,
     diagnostics_from_json,
 )
-from repro.analysis.graphs import (
+from repro.asp.graphs import (
     StratificationResult,
     check_stratification,
     has_cycle,

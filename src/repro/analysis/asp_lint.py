@@ -25,9 +25,8 @@ ASP007    warning   trivially dead rule (body contains ``l`` and
 ========  ========  =====================================================
 
 The predicate-level stratification verdict is exposed via
-:func:`stratification`; the solver computes the same property at the
-ground-atom level (see :mod:`repro.analysis.graphs`) to unlock its
-stability-check fast path.
+:func:`stratification`, built on :mod:`repro.asp.graphs`, the same graph
+code the solver uses for its ground-level tightness check.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from repro.asp.atoms import Atom
 from repro.asp.grounder import binding_schedule
 from repro.asp.rules import Program, Rule, body_literals, head_atoms
 from repro.analysis.diagnostics import ERROR, INFO, WARNING, Diagnostic
-from repro.analysis.graphs import StratificationResult, check_stratification
+from repro.asp.graphs import StratificationResult, check_stratification
 
 __all__ = [
     "lint_program",

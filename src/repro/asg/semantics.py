@@ -12,7 +12,7 @@ and every unannotated atom ``a`` with ``a@t``.  A string ``s`` is in
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.asp.atoms import Atom, Comparison, Literal
 from repro.asp.rules import ChoiceRule, NormalRule, Program, Rule
@@ -79,15 +79,9 @@ def tree_answer_sets(
     tree: ParseTree,
     max_models: Optional[int] = None,
     budget: Optional[Budget] = None,
-    use_fast_path: bool = True,
 ) -> List[AnswerSet]:
     """Answer sets of ``G[PT]`` for one parse tree."""
-    return solve(
-        tree_program(asg, tree),
-        max_models=max_models,
-        budget=budget,
-        use_fast_path=use_fast_path,
-    )
+    return solve(tree_program(asg, tree), max_models=max_models, budget=budget)
 
 
 def accepts(
@@ -95,7 +89,6 @@ def accepts(
     tokens: SymbolString,
     max_trees: int = 256,
     budget: Optional[Budget] = None,
-    use_fast_path: bool = True,
 ) -> bool:
     """Membership: is ``tokens`` in ``L(G)``?
 
@@ -106,13 +99,7 @@ def accepts(
     covers the whole check.
     """
     return (
-        accepting_witness(
-            asg,
-            tokens,
-            max_trees=max_trees,
-            budget=budget,
-            use_fast_path=use_fast_path,
-        )
+        accepting_witness(asg, tokens, max_trees=max_trees, budget=budget)
         is not None
     )
 
@@ -122,7 +109,6 @@ def accepting_witness(
     tokens: SymbolString,
     max_trees: int = 256,
     budget: Optional[Budget] = None,
-    use_fast_path: bool = True,
 ) -> Optional[Tuple[ParseTree, AnswerSet]]:
     """Return a witness ``(parse tree, answer set)`` for membership, or None.
 
@@ -138,9 +124,7 @@ def accepting_witness(
             asg.cfg, tuple(tokens), max_trees=max_trees, budget=budget
         ):
             trees_tried += 1
-            models = tree_answer_sets(
-                asg, tree, max_models=1, budget=budget, use_fast_path=use_fast_path
-            )
+            models = tree_answer_sets(asg, tree, max_models=1, budget=budget)
             if models:
                 sp.incr("asg.trees_tried", trees_tried)
                 sp.incr("asg.accepted")

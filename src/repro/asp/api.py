@@ -13,7 +13,7 @@ All entry points return a :class:`~repro.asp.solver.SolveResult` — a
 :class:`~repro.asp.solver.SolveStats` (``result.stats``), so existing
 list-consuming callers keep working while telemetry-aware ones read the
 counters.  They accept the full solver knob set (``max_models``,
-``max_steps``, ``use_fast_path``) and an optional
+``max_steps``) and an optional
 :class:`~repro.runtime.budget.Budget` that bounds grounding + solving
 (the ambient budget installed by
 :func:`~repro.runtime.budget.budget_scope` is honoured too), raising
@@ -41,7 +41,6 @@ def solve_text(
     max_models: Optional[int] = None,
     budget: Optional[Budget] = None,
     max_steps: int = _DEFAULT_MAX_STEPS,
-    use_fast_path: bool = True,
 ) -> SolveResult:
     """Parse, ground, and solve ASP source text."""
     return solve(
@@ -49,19 +48,15 @@ def solve_text(
         max_models=max_models,
         budget=budget,
         max_steps=max_steps,
-        use_fast_path=use_fast_path,
     )
 
 
 def is_satisfiable_text(
     text: str,
     budget: Optional[Budget] = None,
-    use_fast_path: bool = True,
 ) -> bool:
     """True iff the program given as source text has at least one answer set."""
-    return bool(
-        solve_text(text, max_models=1, budget=budget, use_fast_path=use_fast_path)
-    )
+    return bool(solve_text(text, max_models=1, budget=budget))
 
 
 def solve_program(
@@ -69,7 +64,6 @@ def solve_program(
     max_models: Optional[int] = None,
     budget: Optional[Budget] = None,
     max_steps: int = _DEFAULT_MAX_STEPS,
-    use_fast_path: bool = True,
 ) -> SolveResult:
     """Ground and solve an in-memory :class:`Program`."""
     return solve(
@@ -77,16 +71,12 @@ def solve_program(
         max_models=max_models,
         budget=budget,
         max_steps=max_steps,
-        use_fast_path=use_fast_path,
     )
 
 
 def is_satisfiable(
     program: Program,
     budget: Optional[Budget] = None,
-    use_fast_path: bool = True,
 ) -> bool:
     """True iff ``program`` has at least one answer set."""
-    return bool(
-        solve(program, max_models=1, budget=budget, use_fast_path=use_fast_path)
-    )
+    return bool(solve(program, max_models=1, budget=budget))

@@ -3,7 +3,9 @@
 The solver enumerates answer sets of a :class:`~repro.asp.grounder.GroundProgram`
 by backtracking search with propagation, then verifies each candidate
 against the Gelfond–Lifschitz reduct, so results are exact answer sets —
-propagation is an optimization, stability is the ground truth.
+propagation is an optimization, stability is the ground truth.  On tight
+programs the reduct check is provably redundant and skipped (see
+:class:`AnswerSetSolver`).
 
 Choice rules ``l { a1; ...; ak } u :- body`` are translated into pairs of
 normal rules over fresh complement atoms::
@@ -28,12 +30,12 @@ Propagation implements four sound inferences over partial assignments:
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.asp.atoms import Atom, Literal
+from repro.asp.graphs import has_cycle
 from repro.asp.grounder import GroundProgram, ground_program
-from repro.asp.rules import ChoiceRule, NormalRule, Program
+from repro.asp.rules import Program
 from repro.errors import BudgetExceededError
 from repro.runtime.budget import Budget, current_budget
 from repro.telemetry import span as _tele_span
@@ -58,8 +60,8 @@ class SolveStats:
     * ``conflicts`` — propagation dead-ends (backtrack triggers);
     * ``stability_checks`` — Gelfond–Lifschitz reduct verifications;
     * ``stability_skips`` — candidate models accepted without a reduct
-      check because static analysis proved the ground program stratified
-      and tight (see :meth:`AnswerSetSolver.uses_fast_path`);
+      check because the ground program is tight (see
+      :meth:`AnswerSetSolver.is_tight`);
     * ``models`` — answer sets found;
     * ``steps`` — propagation passes (the unit the PR-1 Budget ticks).
     """
@@ -127,18 +129,17 @@ class AnswerSetSolver:
     once per propagation pass, so wall-clock deadlines and shared step
     budgets interrupt the solver mid-solve.
 
-    Stability fast path: every complete candidate reaching verification
-    is a *supported* model (no-support propagation runs to fixpoint
-    before the branch selector can report "all assigned").  When the
-    ground program's atom dependency graph is stratified **and** tight
-    (positive subgraph acyclic), supported models coincide with stable
-    models (Fages' theorem), so the Gelfond–Lifschitz reduct check is
-    provably redundant and is skipped — counted in
-    ``stats.stability_skips`` instead of ``stats.stability_checks``.
-    Tightness is essential: a merely stratified positive loop such as
-    ``p :- q. q :- p.`` has the supported model ``{p, q}`` that is not
-    stable.  ``use_fast_path=False`` disables the optimization (every
-    candidate takes the reduct check, as before this analysis existed).
+    Stability skip: every complete candidate reaching verification is a
+    *supported* model (no-support propagation runs to fixpoint before
+    the branch selector can report "all assigned", and every rule is
+    checked).  When the ground program is tight (its positive dependency
+    graph is acyclic), supported models coincide with stable models
+    (Fages' theorem), so the Gelfond–Lifschitz reduct check is provably
+    redundant and is skipped — counted in ``stats.stability_skips``
+    instead of ``stats.stability_checks``.  Negation plays no part: even
+    loops and the choice-rule encoding add only negative edges.  A
+    positive loop such as ``p :- q. q :- p.`` has the supported model
+    ``{p, q}`` that is not stable, so non-tight programs take the check.
     """
 
     def __init__(
@@ -146,13 +147,11 @@ class AnswerSetSolver:
         ground: GroundProgram,
         max_steps: int = 50_000_000,
         budget: Optional[Budget] = None,
-        use_fast_path: bool = True,
     ):
         self._max_steps = max_steps
         self._steps = 0
         self._budget = budget if budget is not None else current_budget()
-        self._use_fast_path = use_fast_path
-        self._fast_path: Optional[bool] = None  # decided lazily on first verify
+        self._tight: Optional[bool] = None  # decided lazily on first verify
         self.stats = SolveStats()
 
         self._atoms: List[Atom] = []
@@ -389,37 +388,22 @@ class AnswerSetSolver:
 
     # -- verification ----------------------------------------------------------
 
-    def uses_fast_path(self) -> bool:
-        """Whether stability checks are skipped for this ground program.
+    def is_tight(self) -> bool:
+        """Whether the ground positive dependency graph is acyclic.
 
-        Decided once, lazily, from the ground-atom dependency graph:
-        edges run from each rule head to its body atoms (constraints
-        contribute none; choice-rule encodings introduce negative
-        2-cycles through their auxiliary atoms and therefore disable the
-        fast path automatically).  True iff the program is stratified
-        and tight and ``use_fast_path`` was not turned off.
+        Decided once, lazily: edges run from each rule head to its
+        positive body atoms (constraints contribute none).
         """
-        if self._fast_path is None:
-            if not self._use_fast_path:
-                self._fast_path = False
-            else:
-                # Local import: repro.analysis imports repro.asp, so a
-                # module-level import here would cycle during package init.
-                from repro.analysis.graphs import check_stratification
-
-                positive: List[Tuple[int, int]] = []
-                negative: List[Tuple[int, int]] = []
-                for rule in self._rules:
-                    if rule.head is None:
-                        continue
-                    for atom_id, is_positive in rule.body:
-                        edge = (rule.head, atom_id)
-                        (positive if is_positive else negative).append(edge)
-                verdict = check_stratification(
-                    range(len(self._atoms)), positive, negative
-                )
-                self._fast_path = verdict.stratified and verdict.tight
-        return self._fast_path
+        if self._tight is None:
+            successors: Dict[int, List[int]] = {}
+            for rule in self._rules:
+                if rule.head is None:
+                    continue
+                for atom_id, positive in rule.body:
+                    if positive:
+                        successors.setdefault(rule.head, []).append(atom_id)
+            self._tight = not has_cycle(list(successors), successors)
+        return self._tight
 
     def _verify(self, assignment: List[int]) -> bool:
         """Check a complete assignment: rules, choice bounds, stability."""
@@ -441,7 +425,7 @@ class AnswerSetSolver:
                 return False
             if upper is not None and count > upper:
                 return False
-        if self.uses_fast_path():
+        if self.is_tight():
             self.stats.stability_skips += 1
             return True
         return self._stable(assignment)
@@ -487,21 +471,18 @@ def solve(
     max_models: Optional[int] = None,
     max_steps: int = 50_000_000,
     budget: Optional[Budget] = None,
-    use_fast_path: bool = True,
 ) -> SolveResult:
     """Ground and solve ``program``; return its answer sets.
 
     ``budget`` (explicit or ambient) governs both phases: grounding and
     solving tick the same budget.  The returned :class:`SolveResult`
     behaves as a plain list of answer sets and additionally carries the
-    run's :class:`SolveStats`.  ``use_fast_path=False`` forces a
-    Gelfond–Lifschitz check on every candidate even when static analysis
-    proves it redundant (useful for differential testing).
+    run's :class:`SolveStats`.
     """
     ground = ground_program(program, budget=budget)
-    return AnswerSetSolver(
-        ground, max_steps=max_steps, budget=budget, use_fast_path=use_fast_path
-    ).solve(max_models=max_models)
+    return AnswerSetSolver(ground, max_steps=max_steps, budget=budget).solve(
+        max_models=max_models
+    )
 
 
 CostVector = Tuple[Tuple[int, int], ...]

@@ -193,7 +193,7 @@ class SolveCache(LRUCache[Tuple[tuple, Any], _SolveEntry]):
     """(rule tuple, solver-option key) → solve snapshot.
 
     The option key includes every knob that can change the answer
-    (``max_models``, ``max_steps``, ``use_fast_path``), so a truncated
+    (``max_models``, ``max_steps``), so a truncated
     ``max_models=1`` result can never serve an exhaustive query.
 
     ``get_result`` rebuilds a fresh :class:`SolveResult` per hit — the

@@ -21,8 +21,7 @@ the AST's structural ``__eq__``/``__hash__``, so ``Integer(1)`` and
 * **Decision path** — ``engine.decide(request)`` serves PDP decisions
   from a decision cache keyed by (context, policy and context
   generations, request); ``engine.decide_many(requests)`` groups
-  duplicate requests so each distinct decision is computed once, with an
-  optional ``workers=N`` process-pool fan-out for cold batches.
+  duplicate requests so each distinct decision is computed once.
 * **Invalidation** — PAdaP policy updates bump
   ``PolicyRepository.generation`` and context changes bump
   ``ContextRepository.generation``; the engine folds both counters into
@@ -48,7 +47,7 @@ from repro.asp.solver import AnswerSetSolver, SolveResult, solve
 from repro.asg.semantics import accepts as _asg_accepts
 from repro.agenp.monitoring import DecisionRecord, MonitoringLog
 from repro.agenp.pdp import PolicyDecisionPoint, evaluate_compiled
-from repro.agenp.repositories import ContextRepository, PolicyRepository, StoredPolicy
+from repro.agenp.repositories import ContextRepository, PolicyRepository
 from repro.core.contexts import Context
 from repro.engine.caches import (
     GroundCache,
@@ -58,7 +57,6 @@ from repro.engine.caches import (
     SolveCache,
 )
 from repro.policy.model import Decision, Request
-from repro.policy.xacml import Policy
 from repro.runtime.budget import Budget
 from repro.telemetry import span as _tele_span
 
@@ -92,18 +90,6 @@ class EngineStats:
         return f"EngineStats({inner} decisions={self.decisions} batches={self.batches})"
 
 
-def _decide_group_worker(
-    payload: Tuple[List[Tuple[StoredPolicy, Policy]], Any, Decision, List[Request]],
-) -> List[Tuple[Decision, str]]:
-    """Process-pool worker: resolve a chunk of requests against one
-    compiled policy set.  Module-level so it pickles by reference."""
-    compiled, strategy, default_decision, requests = payload
-    return [
-        evaluate_compiled(compiled, request, strategy, default_decision)
-        for request in requests
-    ]
-
-
 class PolicyEngine:
     """High-throughput serving façade over the AGENP substrate.
 
@@ -133,7 +119,6 @@ class PolicyEngine:
         solve_cache_size: int = 1024,
         membership_cache_size: int = 2048,
         decision_cache_size: int = 4096,
-        workers: Optional[int] = None,
         **pdp_kwargs: Any,
     ):
         if pdp is not None:
@@ -145,7 +130,6 @@ class PolicyEngine:
         else:
             self.pdp = None
         self.contexts = contexts
-        self.workers = workers
         self.parse_cache = ParseCache(parse_cache_size)
         self.ground_cache = GroundCache(ground_cache_size)
         self.solve_cache = SolveCache(solve_cache_size)
@@ -191,7 +175,6 @@ class PolicyEngine:
         max_models: Optional[int] = None,
         budget: Optional[Budget] = None,
         max_steps: int = _DEFAULT_MAX_STEPS,
-        use_fast_path: bool = True,
     ) -> SolveResult:
         """Ground and solve ``program`` through both engine caches.
 
@@ -200,7 +183,7 @@ class PolicyEngine:
         grounding, and solving entirely.
         """
         rules = tuple(program.rules)
-        key = (rules, (max_models, max_steps, use_fast_path))
+        key = (rules, (max_models, max_steps))
         with _tele_span("engine.solve") as sp:
             cached = self.solve_cache.get_result(key)
             if cached is not None:
@@ -212,9 +195,7 @@ class PolicyEngine:
             if ground is None:
                 ground = ground_program(program, budget=budget)
                 self.ground_cache.put(ground_key, ground, budget=budget)
-            solver = AnswerSetSolver(
-                ground, max_steps=max_steps, budget=budget, use_fast_path=use_fast_path
-            )
+            solver = AnswerSetSolver(ground, max_steps=max_steps, budget=budget)
             result = solver.solve(max_models=max_models)
             self.solve_cache.put_result(key, result, budget=budget)
             return result
@@ -225,7 +206,6 @@ class PolicyEngine:
         max_models: Optional[int] = None,
         budget: Optional[Budget] = None,
         max_steps: int = _DEFAULT_MAX_STEPS,
-        use_fast_path: bool = True,
     ) -> SolveResult:
         """Parse, ground, and solve source text through every cache."""
         return self.solve(
@@ -233,7 +213,6 @@ class PolicyEngine:
             max_models=max_models,
             budget=budget,
             max_steps=max_steps,
-            use_fast_path=use_fast_path,
         )
 
     # -- membership path ----------------------------------------------------
@@ -266,20 +245,13 @@ class PolicyEngine:
         tokens: Sequence[str],
         max_trees: int = 256,
         budget: Optional[Budget] = None,
-        use_fast_path: bool = True,
     ) -> bool:
         """ASG membership (``tokens in L(G)``) through the membership cache."""
-        key = (self._asg_key(asg), tuple(tokens), max_trees, use_fast_path)
+        key = (self._asg_key(asg), tuple(tokens), max_trees)
         cached = self.membership_cache.get(key)
         if cached is not None:
             return cached
-        verdict = _asg_accepts(
-            asg,
-            tuple(tokens),
-            max_trees=max_trees,
-            budget=budget,
-            use_fast_path=use_fast_path,
-        )
+        verdict = _asg_accepts(asg, tuple(tokens), max_trees=max_trees, budget=budget)
         self.membership_cache.put(key, verdict, budget=budget)
         return verdict
 
@@ -353,23 +325,18 @@ class PolicyEngine:
         self,
         requests: Iterable[Request],
         context: Optional[Context] = None,
-        workers: Optional[int] = None,
     ) -> List[DecisionRecord]:
         """Batched decisions: each distinct request is resolved once.
 
         Requests are grouped by content key; the unique cold group is
-        resolved against one compiled policy set — serially, or fanned
-        out to a process pool when ``workers`` (or the engine default)
-        is > 1 and the batch is large enough to amortize pool startup.
-        Every input request still yields its own monitoring record, in
-        input order.
+        resolved against one compiled policy set.  Every input request
+        still yields its own monitoring record, in input order.
         """
         pdp = self._require_pdp()
         context = context if context is not None else (
             self.contexts.current() if self.contexts is not None else Context.empty()
         )
         requests = list(requests)
-        workers = workers if workers is not None else self.workers
         generations = self._check_invalidation()
 
         with _tele_span("engine.decide_many", batch=len(requests)) as sp:
@@ -400,11 +367,10 @@ class PolicyEngine:
 
             if cold:
                 compiled = pdp.compiled()
-                cold_requests = [exemplar[key] for key in cold]
-                resolved = self._resolve_cold(
-                    compiled, cold_requests, workers, pdp
-                )
-                for key, outcome in zip(cold, resolved):
+                for key in cold:
+                    outcome = evaluate_compiled(
+                        compiled, exemplar[key], pdp.strategy, pdp.default_decision
+                    )
                     outcomes[key] = outcome
                     self.decision_cache.put((context, generations, key), outcome)
 
@@ -423,58 +389,6 @@ class PolicyEngine:
                     records[index] = pdp.log.append(record)
             self._decisions_served += len(requests)
             return records
-
-    def _resolve_cold(
-        self,
-        compiled: List[Tuple[StoredPolicy, Policy]],
-        cold_requests: List[Request],
-        workers: Optional[int],
-        pdp: PolicyDecisionPoint,
-    ) -> List[Tuple[Decision, str]]:
-        """Resolve the unique cold requests, fanning out when profitable."""
-        if workers and workers > 1 and len(cold_requests) >= 2 * workers:
-            try:
-                return self._resolve_pool(compiled, cold_requests, workers, pdp)
-            except Exception:
-                # unpicklable strategy/policy or pool failure: serve serially
-                pass
-        return [
-            evaluate_compiled(
-                compiled, request, pdp.strategy, pdp.default_decision
-            )
-            for request in cold_requests
-        ]
-
-    @staticmethod
-    def _resolve_pool(
-        compiled: List[Tuple[StoredPolicy, Policy]],
-        cold_requests: List[Request],
-        workers: int,
-        pdp: PolicyDecisionPoint,
-    ) -> List[Tuple[Decision, str]]:
-        import concurrent.futures
-
-        chunks: List[List[Request]] = [[] for _ in range(workers)]
-        for index, request in enumerate(cold_requests):
-            chunks[index % workers].append(request)
-        payloads = [
-            (compiled, pdp.strategy, pdp.default_decision, chunk)
-            for chunk in chunks
-            if chunk
-        ]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(_decide_group_worker, payloads))
-        # interleave back to input order (round-robin inverse)
-        results: List[Tuple[Decision, str]] = [None] * len(cold_requests)  # type: ignore[list-item]
-        non_empty = [chunk for chunk in chunks if chunk]
-        position = [0] * len(non_empty)
-        for index in range(len(cold_requests)):
-            chunk_index = index % workers
-            # map chunk_index into non_empty ordering
-            live_index = sum(1 for c in chunks[:chunk_index] if c)
-            results[index] = chunk_results[live_index][position[live_index]]
-            position[live_index] += 1
-        return results
 
     # -- maintenance --------------------------------------------------------
 

@@ -105,7 +105,6 @@ class ASGLearningTask:
         negative: Sequence[ContextExample],
         context_placement: str = "all",
         max_trees: int = 256,
-        use_fast_path: bool = True,
     ):
         self.initial = initial
         self.hypothesis_space = list(hypothesis_space)
@@ -113,7 +112,6 @@ class ASGLearningTask:
         self.negative = list(negative)
         self.context_placement = context_placement
         self.max_trees = max_trees
-        self.use_fast_path = use_fast_path
         self._heads = _head_signatures(self.hypothesis_space)
         # candidate -> whether G : {candidate} builds
         self._attachable: Dict[CandidateRule, bool] = {}
@@ -184,7 +182,6 @@ class ASGLearningTask:
                     program.rules,
                     self._heads,
                     functools.partial(_rerooted, traces),
-                    self.use_fast_path,
                 )
                 if split is None:
                     trees = None
@@ -212,9 +209,7 @@ class ASGLearningTask:
             if satisfiable is None:
                 program = Program(tree.program.rules)
                 program.extend(fact(head) for head in dict.fromkeys(heads))
-                satisfiable = tree.solved[key] = bool(
-                    solve(program, max_models=1, use_fast_path=self.use_fast_path)
-                )
+                satisfiable = tree.solved[key] = bool(solve(program, max_models=1))
             if satisfiable:
                 return True
         return False
@@ -234,12 +229,7 @@ class ASGLearningTask:
             grammar = self._grammar(hypothesis).with_context(
                 example.context, where=self.context_placement
             )
-            cached = accepts(
-                grammar,
-                example.tokens,
-                max_trees=self.max_trees,
-                use_fast_path=self.use_fast_path,
-            )
+            cached = accepts(grammar, example.tokens, max_trees=self.max_trees)
             self._oracle_cache[key] = cached
         return cached
 
@@ -383,7 +373,6 @@ def _split_below(
     rules: Sequence[Rule],
     heads: FrozenSet[Tuple[str, int]],
     instances: Callable[[CandidateRule], Sequence[Rule]],
-    use_fast_path: bool,
 ) -> Optional[_Split]:
     """Split ``rules`` below the candidate ``heads`` and solve the bottom;
     ``None`` when the bottom has more than one answer set."""
@@ -411,7 +400,7 @@ def _split_below(
         for rule, (rule_heads, body) in zip(rules, shapes)
         if top.isdisjoint(rule_heads) and top.isdisjoint(body)
     )
-    models = solve(bottom, max_models=2, use_fast_path=use_fast_path)
+    models = solve(bottom, max_models=2)
     if len(models) > 1:
         return None
     return _Split(
@@ -465,14 +454,12 @@ class LASTask:
         positive: Sequence[PartialInterpretation],
         negative: Sequence[PartialInterpretation],
         max_models: int = 64,
-        use_fast_path: bool = True,
     ):
         self.background = background
         self.hypothesis_space = list(hypothesis_space)
         self.positive = list(positive)
         self.negative = list(negative)
         self.max_models = max_models
-        self.use_fast_path = use_fast_path
         self._heads = _head_signatures(self.hypothesis_space)
         # example key -> its split, or None when the bottom is ambiguous
         self._splits: Dict[tuple, Optional[_Split]] = {}
@@ -502,7 +489,6 @@ class LASTask:
                 list(self.background) + list(example.context),
                 self._heads,
                 _as_written,
-                self.use_fast_path,
             )
         return split
 
@@ -511,9 +497,7 @@ class LASTask:
     ) -> Tuple[bool, int]:
         """Whether some answer set found covers ``example``, and how many
         answer sets the solve returned."""
-        models = solve(
-            program, max_models=self.max_models, use_fast_path=self.use_fast_path
-        )
+        models = solve(program, max_models=self.max_models)
         return any(example.covered_by(model) for model in models), len(models)
 
     def positive_holds(

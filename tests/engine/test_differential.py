@@ -3,8 +3,7 @@
 Random programs (seeded, reproducible) are solved through a caching
 :class:`PolicyEngine` twice and through the plain solver; every answer
 set list must match element-for-element, in order, including on
-non-stratified programs where the Fages fast path is inapplicable and
-on fast-path-disabled runs.
+non-stratified programs.
 """
 
 import random
@@ -51,16 +50,6 @@ def test_cached_solving_matches_fresh(seed):
     assert engine.solve_cache.stats.hits >= 1
 
 
-@pytest.mark.parametrize("seed", [3, 11, 17])
-def test_cached_solving_matches_fresh_without_fast_path(seed):
-    text = random_program(random.Random(seed))
-    fresh = solve_text(text, use_fast_path=False)
-    engine = PolicyEngine()
-    cold = engine.solve_text(text, use_fast_path=False)
-    warm = engine.solve_text(text, use_fast_path=False)
-    assert list(cold) == list(fresh) == list(warm)
-
-
 def test_non_stratified_even_loop_cached():
     text = "a :- not b. b :- not a."
     engine = PolicyEngine()
@@ -78,8 +67,6 @@ def test_solver_options_partition_the_cache():
     full = engine.solve_text(text)
     assert len(full) == 2  # the max_models=1 entry must not serve this
     assert len(engine.solve_text(text, max_models=1)) == 1
-    no_fast = engine.solve_text(text, use_fast_path=False)
-    assert list(no_fast) == list(full)
 
 
 def test_variable_programs_cached():

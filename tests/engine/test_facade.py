@@ -1,6 +1,4 @@
-"""The blessed top-level API surface and its deprecation shims."""
-
-import warnings
+"""The blessed top-level API surface."""
 
 import pytest
 
@@ -47,29 +45,7 @@ def test_facade_engine_roundtrip():
     assert engine.stats().caches["solve"]["hits"] == 1
 
 
-@pytest.mark.parametrize("name", ["lint_path", "solve", "Engine"])
-def test_deprecated_names_warn_but_work(name):
-    with pytest.warns(DeprecationWarning, match=f"repro.{name} is deprecated"):
-        value = getattr(repro, name)
-    assert value is not None
-
-
-def test_deprecated_names_resolve_to_canonical_objects():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        from repro.analysis import lint_path as canonical_lint_path
-        from repro.asp.solver import solve as canonical_solve
-
-        assert repro.Engine is repro.PolicyEngine
-        assert repro.lint_path is canonical_lint_path
-        assert repro.solve is canonical_solve
-
-
 def test_unknown_attribute_still_raises():
-    with pytest.raises(AttributeError, match="no attribute"):
-        repro.definitely_not_a_name
-
-
-def test_deprecated_names_in_dir():
-    listing = dir(repro)
-    assert "lint_path" in listing and "PolicyEngine" in listing
+    for name in ("definitely_not_a_name", "solve", "Engine", "lint_path"):
+        with pytest.raises(AttributeError, match="no attribute"):
+            getattr(repro, name)

@@ -2,10 +2,9 @@
 
 The serving API redesign promises one vocabulary everywhere: anything
 that grounds or solves accepts ``budget=``; anything that enumerates
-models accepts ``max_models=``; anything touching the solver accepts
-``use_fast_path=``.  These tests pin the signatures *and* exercise the
-threading (a flag accepted but dropped would pass a pure signature
-check).
+models accepts ``max_models=``.  These tests pin the signatures *and*
+exercise the threading (a knob accepted but dropped would pass a pure
+signature check).
 """
 
 import inspect
@@ -19,7 +18,6 @@ from repro.asg import accepting_witness, accepts, parse_asg, tree_answer_sets
 from repro.engine import PolicyEngine
 from repro.learning.decomposable import DecomposableLearner
 from repro.learning.ilasp import ILASPLearner
-from repro.learning.tasks import ASGLearningTask, LASTask
 from repro.runtime.budget import Budget
 
 
@@ -31,28 +29,23 @@ def params(func):
     "func", [solve, solve_program, solve_text, PolicyEngine.solve, PolicyEngine.solve_text]
 )
 def test_solver_entrypoints_share_knobs(func):
-    assert {"max_models", "budget", "max_steps", "use_fast_path"} <= params(func)
+    assert {"max_models", "budget", "max_steps"} <= params(func)
 
 
 @pytest.mark.parametrize("func", [is_satisfiable, is_satisfiable_text])
 def test_satisfiability_entrypoints(func):
-    assert {"budget", "use_fast_path"} <= params(func)
+    assert {"budget"} <= params(func)
 
 
 @pytest.mark.parametrize(
     "func", [accepts, accepting_witness, PolicyEngine.accepts]
 )
 def test_membership_entrypoints(func):
-    assert {"max_trees", "budget", "use_fast_path"} <= params(func)
+    assert {"max_trees", "budget"} <= params(func)
 
 
 def test_tree_answer_sets_knobs():
-    assert {"max_models", "budget", "use_fast_path"} <= params(tree_answer_sets)
-
-
-@pytest.mark.parametrize("cls", [ASGLearningTask, LASTask])
-def test_tasks_accept_use_fast_path(cls):
-    assert "use_fast_path" in params(cls.__init__)
+    assert {"max_models", "budget"} <= params(tree_answer_sets)
 
 
 @pytest.mark.parametrize("cls", [ILASPLearner, DecomposableLearner])
@@ -71,17 +64,6 @@ def test_entrypoints_return_solve_result(func):
     assert result.stats.models == len(result) == 1
 
 
-def test_use_fast_path_is_actually_threaded():
-    # a stratified, tight program: the fast path records stability skips;
-    # disabling it must reach the solver (skips stay 0)
-    text = "p(1..3). q(X) :- p(X)."
-    fast = solve_text(text)
-    slow = solve_text(text, use_fast_path=False)
-    assert list(fast) == list(slow)
-    assert fast.stats.stability_skips > 0
-    assert slow.stats.stability_skips == 0
-
-
 def test_budget_is_actually_threaded():
     from repro.errors import BudgetExceededError
 
@@ -97,8 +79,8 @@ elem -> "x" { value(1). }
 elem -> "y" { value(2). }
 """
     )
-    assert accepts(asg, ("x",), use_fast_path=False) is True
-    assert accepts(asg, ("y",), use_fast_path=False) is False
+    assert accepts(asg, ("x",)) is True
+    assert accepts(asg, ("y",)) is False
 
 
 def test_engine_constructor_forwards_pdp_kwargs():

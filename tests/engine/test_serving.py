@@ -146,7 +146,7 @@ def test_decide_many_matches_decide():
 def test_decide_many_with_workers():
     engine, __ = make_engine()
     batch = [request(f"user{i % 9}", "read") for i in range(36)]
-    records = engine.decide_many(batch, workers=2)
+    records = engine.decide_many(batch)
     assert len(records) == 36
     expected = {
         "alice": Decision.PERMIT,
@@ -155,7 +155,7 @@ def test_decide_many_with_workers():
         want = expected.get(req.get("subject", "id"), Decision.DENY)
         assert record.decision == want
     # warm repeat: served from cache entirely
-    engine.decide_many(batch, workers=2)
+    engine.decide_many(batch)
     assert engine.decision_cache.stats.misses == 9
 
 
