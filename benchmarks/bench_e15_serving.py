@@ -13,7 +13,7 @@ identical engine with every cache disabled.  The contract under test:
 * batched decision serving (``decide_many``) resolves each distinct
   request once while still logging one monitoring record per request.
 
-Cache hit/miss/eviction counters land in the BENCH_e15 artifacts via
+Cache hit/miss/eviction counters land in the BENCH_e15 artifact via
 the module telemetry session.
 """
 

@@ -15,7 +15,7 @@ The contract under test:
   denies the forbidden pair.
 
 The soak runs outside the ambient tracer: 200,000 traced decisions
-would write 200,000 span records to the BENCH_e16 artifact.
+would hold 200,000 root span records in the tracer's memory.
 """
 
 import random

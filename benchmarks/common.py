@@ -1,18 +1,18 @@
-"""Shared benchmark telemetry: per-experiment trace artifacts.
+"""Shared benchmark telemetry: one summary artifact per experiment.
 
 Every benchmark module runs under :func:`telemetry_session` (wired up as
 an autouse fixture in ``conftest.py``), which installs an ambient
-:class:`~repro.telemetry.Tracer` writing ``BENCH_<name>.jsonl`` (raw
-spans, via the JSONL exporter) and ``BENCH_<name>.json`` (the
-``summarize()`` report plus wall time) into ``benchmarks/artifacts/``.
-That populates the perf trajectory: every CI run leaves behind the
-per-operation p50/p95 latencies and engine counters (rules grounded,
-solver decisions/propagations, learner checks, coalition retransmits)
-for each experiment.
+:class:`~repro.telemetry.Tracer` and, when the module finishes, writes
+its :func:`~repro.telemetry.summarize` report plus wall time to
+``benchmarks/artifacts/BENCH_<name>.json``.  That is the perf
+trajectory: every CI run leaves behind, per experiment and operation,
+count, p50/p95 latency, inclusive and self time, and the engine
+counters (rules grounded, solver decisions/propagations, learner
+checks, coalition retransmits).  No per-span records are written.
 
-Inspect an artifact with::
+Merge and print artifacts with::
 
-    PYTHONPATH=src python -m repro.telemetry.report benchmarks/artifacts/BENCH_e3_fig3a_xacml_correct.jsonl
+    PYTHONPATH=src python -m repro.telemetry.report benchmarks/artifacts/BENCH_*.json
 """
 
 import contextlib
@@ -22,13 +22,13 @@ import time
 
 from repro.analysis import lint_program
 from repro.asp.solver import solve
-from repro.telemetry import JsonlExporter, Tracer, summarize, tracer_scope
+from repro.telemetry import Tracer, summarize, tracer_scope
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "artifacts")
 
 __all__ = [
     "ARTIFACT_DIR",
-    "artifact_paths",
+    "artifact_path",
     "telemetry_session",
     "lint_and_solve",
 ]
@@ -48,29 +48,23 @@ def lint_and_solve(program, source=None, roots=(), **solve_kwargs):
     return diagnostics, result
 
 
-def artifact_paths(name):
-    """The (jsonl, json) artifact paths for one experiment name."""
-    return (
-        os.path.join(ARTIFACT_DIR, f"BENCH_{name}.jsonl"),
-        os.path.join(ARTIFACT_DIR, f"BENCH_{name}.json"),
-    )
+def artifact_path(name):
+    """The summary artifact path for one experiment name."""
+    return os.path.join(ARTIFACT_DIR, f"BENCH_{name}.json")
 
 
 @contextlib.contextmanager
 def telemetry_session(name):
-    """Trace a benchmark experiment and persist its telemetry artifacts."""
+    """Trace a benchmark experiment and persist its telemetry summary."""
     os.makedirs(ARTIFACT_DIR, exist_ok=True)
-    jsonl_path, json_path = artifact_paths(name)
-    tracer = Tracer(exporters=[JsonlExporter(jsonl_path)])
+    tracer = Tracer()
     start = time.monotonic()
     try:
         with tracer_scope(tracer):
             yield tracer
     finally:
-        tracer.close()
-        summary = summarize(tracer.spans)
+        summary = summarize(tracer)
         summary["experiment"] = name
         summary["wall_time_s"] = time.monotonic() - start
-        summary["spans"] = len(tracer.spans)
-        with open(json_path, "w", encoding="utf-8") as handle:
+        with open(artifact_path(name), "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)

@@ -7,9 +7,10 @@ the reproduced rows/series are printed straight to the terminal via the
 pytest's output capturing.
 
 Every benchmark module also runs under an ambient telemetry tracer
-(``module_telemetry`` below): spans from the instrumented engine layers
-are written to ``benchmarks/artifacts/BENCH_<module>.jsonl`` plus a
-``summarize()`` report in ``BENCH_<module>.json`` — see ``common.py``.
+(``module_telemetry`` below): the spans of the instrumented engine
+layers fold into per-operation aggregates, written as a ``summarize()``
+report to ``benchmarks/artifacts/BENCH_<module>.json`` — see
+``common.py``.
 """
 
 import pytest
@@ -32,7 +33,7 @@ def report(capsys):
 
 @pytest.fixture(scope="module", autouse=True)
 def module_telemetry(request):
-    """Trace each benchmark module into its own BENCH_* artifact pair."""
+    """Trace each benchmark module into its own BENCH_* summary."""
     name = request.module.__name__
     if name.startswith("bench_"):
         name = name[len("bench_"):]

@@ -36,8 +36,9 @@ cover the common serving loop::
     models = repro.solve_text("a :- not b. b :- not a.")
     grammar = repro.parse_asg(asg_text)
     engine = repro.PolicyEngine(repository, interpreter)
-    with repro.tracer_scope() as tracer:
+    with repro.tracer_scope(repro.telemetry.Tracer()) as tracer:
         records = engine.decide_many(requests)
+    print(repro.telemetry.format_summary(repro.telemetry.summarize(tracer)))
 
 Everything else stays importable from its subsystem module.
 """

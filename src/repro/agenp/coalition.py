@@ -532,13 +532,6 @@ class Coalition:
             sp.incr("coalition.adopted", sum(a for a, __ in results.values()))
             sp.incr("coalition.rejected", sum(r for __, r in results.values()))
             sp.incr("coalition.rounds")
-            if self.network is not None:
-                sp.set(
-                    tick=self.network.tick,
-                    live_parties=len(live),
-                    delivered=self.network.delivered,
-                    dropped=self.network.dropped,
-                )
             return results
 
     def run(self, rounds: int, min_trust: float = 0.25) -> List[Dict[str, Tuple[int, int]]]:
@@ -560,13 +553,11 @@ class Coalition:
         self, max_rounds: int = 50, min_trust: float = 0.25
     ) -> Optional[int]:
         """Run rounds until :meth:`converged`; rounds taken, or None."""
-        with _tele_span("coalition.converge", max_rounds=max_rounds) as sp:
+        with _tele_span("coalition.converge") as sp:
             for round_number in range(1, max_rounds + 1):
                 self.round(min_trust=min_trust)
                 if self.converged():
-                    sp.set(rounds=round_number, converged=True)
                     sp.incr("coalition.convergence_rounds", round_number)
                     return round_number
-            sp.set(rounds=max_rounds, converged=False)
             sp.incr("coalition.convergence_failures")
             return None

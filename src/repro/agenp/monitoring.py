@@ -29,10 +29,11 @@ class DecisionRecord:
 
     ``degraded`` marks decisions that were *not* produced by the normal
     solver-backed path: the PDP fell back to its default decision or the
-    last-known-good policy set (``note`` says why).  ``trace_id`` links
-    the record to the telemetry trace of the solve that produced it
-    (when the PDP ran under an ambient tracer; None otherwise) —
-    Figure 2's monitoring arrows joined to low-level engine behaviour.
+    last-known-good policy set (``note`` says why).  ``trace_id`` names
+    the telemetry root span it was decided under, whose record in
+    ``Tracer.roots`` holds the counters of the solving behind it (when
+    the PDP ran under an ambient tracer; None otherwise) — Figure 2's
+    monitoring arrows joined to low-level engine behaviour.
     """
 
     __slots__ = (

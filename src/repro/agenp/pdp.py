@@ -181,7 +181,6 @@ class PolicyDecisionPoint:
             self.breaker.record_success()
             self._last_good = list(self._compiled)
             decision, policy_text = self._resolve(hits)
-            sp.set(decision=decision.value, degraded=False)
             record = DecisionRecord(
                 request, decision, policy_text, context, trace_id=sp.trace_id
             )
@@ -209,7 +208,6 @@ class PolicyDecisionPoint:
         trace_id = sp.trace_id if sp is not None else None
         if sp is not None:
             sp.incr("pdp.degraded_decisions")
-            sp.set(decision=decision.value, degraded=True)
         record = DecisionRecord(
             request,
             decision,

@@ -118,7 +118,7 @@ def accepting_witness(
     ambient tracer an ``asg.membership`` span records how many candidate
     trees were solver-checked and whether one accepted.
     """
-    with _tele_span("asg.membership", tokens=len(tokens)) as sp:
+    with _tele_span("asg.membership") as sp:
         trees_tried = 0
         for tree in parse_trees(
             asg.cfg, tuple(tokens), max_trees=max_trees, budget=budget
@@ -128,9 +128,7 @@ def accepting_witness(
             if models:
                 sp.incr("asg.trees_tried", trees_tried)
                 sp.incr("asg.accepted")
-                sp.set(accepted=True)
                 return tree, models[0]
         sp.incr("asg.trees_tried", trees_tried)
         sp.incr("asg.rejected")
-        sp.set(accepted=False)
         return None

@@ -56,7 +56,7 @@ __all__ = [
 
 
 class GroundStats:
-    """Per-run grounding statistics (semi-naive bottom-up telemetry).
+    """Per-run grounding statistics (naive bottom-up fixpoint with indexing).
 
     * ``fixpoint_iterations`` — passes of the possible-atom fixpoint;
     * ``substitutions`` — substitutions enumerated across both phases;
@@ -368,10 +368,10 @@ def ground_program(
     before the possible-atom set explodes.
 
     The returned program carries :class:`GroundStats` (``.stats``);
-    the same numbers land on the ambient ``asp.ground`` telemetry span
-    when a tracer is installed.
+    the same numbers are added, as ``grounder.*`` counters under an
+    ``asp.ground`` span, to the ambient tracer when one is installed.
     """
-    with _tele_span("asp.ground", source_rules=len(program)) as sp:
+    with _tele_span("asp.ground") as sp:
         ground = _ground(program, max_atoms, budget)
         for name, value in ground.stats.as_dict().items():
             sp.incr(f"grounder.{name}", value)

@@ -223,12 +223,11 @@ class AnswerSetSolver:
 
         Atoms of internal auxiliary predicates are projected out.  The
         result is a :class:`SolveResult`: a plain list of answer sets
-        carrying the run's :class:`SolveStats`, which are also recorded
-        on the ambient telemetry span (``asp.solve``) when one exists.
+        carrying the run's :class:`SolveStats`, which are also added, as
+        ``solver.*`` counters under an ``asp.solve`` span, to the ambient
+        tracer when one is installed.
         """
-        with _tele_span(
-            "asp.solve", atoms=len(self._atoms), rules=len(self._rules)
-        ) as sp:
+        with _tele_span("asp.solve") as sp:
             models: List[AnswerSet] = []
             n = len(self._atoms)
             assignment = [_UNKNOWN] * n

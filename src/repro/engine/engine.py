@@ -184,12 +184,10 @@ class PolicyEngine:
         """
         rules = tuple(program.rules)
         key = (rules, (max_models, max_steps))
-        with _tele_span("engine.solve") as sp:
+        with _tele_span("engine.solve"):
             cached = self.solve_cache.get_result(key)
             if cached is not None:
-                sp.set(cache="hit")
                 return cached
-            sp.set(cache="miss")
             ground_key = (rules, _DEFAULT_MAX_ATOMS)
             ground = self.ground_cache.get(ground_key)
             if ground is None:
@@ -310,12 +308,10 @@ class PolicyEngine:
             cached = self.decision_cache.get(key)
             if cached is not None:
                 decision, policy_text = cached
-                sp.set(cache="hit", decision=decision.value)
                 record = DecisionRecord(
                     request, decision, policy_text, context, trace_id=sp.trace_id
                 )
                 return pdp.log.append(record)
-            sp.set(cache="miss")
             record = pdp.decide(request, context)
             if not record.degraded:
                 self.decision_cache.put(key, (record.decision, record.policy_text))
@@ -339,7 +335,7 @@ class PolicyEngine:
         requests = list(requests)
         generations = self._check_invalidation()
 
-        with _tele_span("engine.decide_many", batch=len(requests)) as sp:
+        with _tele_span("engine.decide_many") as sp:
             self._batches_served += 1
             # group duplicates; preserve first-seen order of unique keys
             order: List[tuple] = []
@@ -352,7 +348,6 @@ class PolicyEngine:
                     exemplar[key] = request
                     order.append(key)
                 by_key[key].append(index)
-            sp.set(unique=len(order))
 
             # split unique requests into cache hits and the cold group
             outcomes: Dict[tuple, Tuple[Decision, str]] = {}

@@ -40,10 +40,8 @@ def recognize(
     state, bounding the O(n³) worst case.  Under an ambient tracer an
     ``earley.recognize`` span records the chart size.
     """
-    with _tele_span("earley.recognize", tokens=len(tokens)) as sp:
-        accepted = _recognize(grammar, tokens, budget, sp)
-        sp.set(accepted=accepted)
-        return accepted
+    with _tele_span("earley.recognize") as sp:
+        return _recognize(grammar, tokens, budget, sp)
 
 
 def _recognize(
@@ -197,7 +195,7 @@ def parse_trees(
     """
     if budget is None:
         budget = current_budget()
-    with _tele_span("earley.parse_trees", tokens=len(tokens)) as sp:
+    with _tele_span("earley.parse_trees") as sp:
         for token in tokens:
             if token not in grammar.terminals:
                 return []
@@ -207,12 +205,10 @@ def parse_trees(
         trees = extractor.trees(grammar.start, 0, len(tokens))
         sp.incr("earley.spans_explored", len(extractor._memo))
         if extractor.truncated:
-            sp.set(truncated=True)
             if strict:
                 raise AmbiguityLimitError(
                     f"more than {max_trees} parse trees for {' '.join(tokens)!r}"
                 )
             trees = trees[:max_trees]
         sp.incr("earley.trees", len(trees))
-        sp.set(ambiguity=len(trees))
         return trees

@@ -327,9 +327,7 @@ class DecomposableLearner:
             if self.budget is not None
             else contextlib.nullcontext()
         )
-        with scope, _tele_span(
-            "learn.decomposable", space=len(self.task.hypothesis_space)
-        ) as sp:
+        with scope, _tele_span("learn.decomposable") as sp:
             checks_before = self._checks
             space = list(self.task.hypothesis_space)
             if self._models is None:
@@ -348,11 +346,6 @@ class DecomposableLearner:
             # only this call's oracle work, so repeated calls add up right
             sp.incr("learner.checks", self._checks - checks_before)
             sp.incr("learner.hypotheses_learned")
-            sp.set(
-                cost=result.cost,
-                violations=result.violations,
-                rules=len(result.candidates),
-            )
             return result
 
     def _learn(

@@ -224,9 +224,7 @@ class ILASPLearner:
             if self.budget is not None
             else contextlib.nullcontext()
         )
-        with _tele_span(
-            "learn.ilasp", space=len(self.task.hypothesis_space)
-        ) as sp:
+        with _tele_span("learn.ilasp") as sp:
             self.diagnostics = lint_task(self.task)
             if self.diagnostics:
                 sp.incr("learner.lint_findings", len(self.diagnostics))
@@ -238,7 +236,6 @@ class ILASPLearner:
                 with scope:
                     space = self._prefiltered_space()
                     self._space_size = len(space)
-                    sp.set(prefiltered_space=len(space))
                     for allowed in range(0, self.max_violations + 1):
                         found = self._search_with_violations(space, allowed)
                         if found is not None:
@@ -274,12 +271,6 @@ class ILASPLearner:
         sp.incr("learner.hypotheses_learned")
         if result.degraded:
             sp.incr("learner.degraded_returns")
-        sp.set(
-            cost=result.cost,
-            violations=result.violations,
-            rules=len(result.candidates),
-            degraded=result.degraded,
-        )
 
     def _degraded_result(self, start: float) -> LearnedHypothesis:
         """Best-so-far hypothesis after budget exhaustion."""

@@ -8,6 +8,8 @@ Two levels, as the paper requires:
   decision (:func:`counterfactuals`), in the style of Wachter et al.:
   "you were denied because role=dev; had role been dba, you would have
   been permitted".
+
+Both run under a ``policy.explain`` telemetry span.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.policy.evaluation import applicable_rules, evaluate_policy_set
 from repro.policy.model import Decision, DomainSchema, Request
 from repro.policy.xacml import Match, Policy, XacmlRule
+from repro.telemetry import span as _tele_span
 
 __all__ = ["DecisionExplanation", "Counterfactual", "explain_decision", "counterfactuals"]
 
@@ -95,22 +98,23 @@ def explain_decision(
     relevant, per the paper's observation that "not all attributes may
     be relevant for the request".
     """
-    decision = evaluate_policy_set(policies, request, combining)
-    fired: List[Tuple[str, XacmlRule, Decision]] = []
-    for policy in policies:
-        for rule, rule_decision in applicable_rules(policy, request):
-            fired.append((policy.policy_id, rule, rule_decision))
-    agreeing = [
-        (pid, rule, d) for pid, rule, d in fired if d == decision
-    ] or fired
-    matches: List[Match] = []
-    seen = set()
-    for __, rule, __d in agreeing:
-        for match in rule.all_matches():
-            if match.key() not in seen:
-                seen.add(match.key())
-                matches.append(match)
-    return DecisionExplanation(request, decision, agreeing, matches)
+    with _tele_span("policy.explain"):
+        decision = evaluate_policy_set(policies, request, combining)
+        fired: List[Tuple[str, XacmlRule, Decision]] = []
+        for policy in policies:
+            for rule, rule_decision in applicable_rules(policy, request):
+                fired.append((policy.policy_id, rule, rule_decision))
+        agreeing = [
+            (pid, rule, d) for pid, rule, d in fired if d == decision
+        ] or fired
+        matches: List[Match] = []
+        seen = set()
+        for __, rule, __d in agreeing:
+            for match in rule.all_matches():
+                if match.key() not in seen:
+                    seen.add(match.key())
+                    matches.append(match)
+        return DecisionExplanation(request, decision, agreeing, matches)
 
 
 def counterfactuals(
@@ -130,43 +134,44 @@ def counterfactuals(
     ones are returned (no counterfactual whose change set is a superset
     of another's).
     """
-    original = evaluate_policy_set(policies, request, combining)
-    keys = schema.attributes()
-    results: List[Counterfactual] = []
-    accepted_changes: List[frozenset] = []
-    for size in range(1, max_changes + 1):
-        for combo in itertools.combinations(keys, size):
-            if any(set(prev) <= set(combo) for prev in accepted_changes):
-                continue
-            pools = []
-            for category, attribute in combo:
-                current = request.get(category, attribute)
-                pools.append(
-                    [
-                        value
-                        for value in schema.domain(category, attribute).values()
-                        if value != current
-                    ]
-                )
-            for values in itertools.product(*pools):
-                changed = request
-                changes: Dict[Tuple[str, str], Tuple[object, object]] = {}
-                for (category, attribute), value in zip(combo, values):
-                    changes[(category, attribute)] = (
-                        request.get(category, attribute),
-                        value,
+    with _tele_span("policy.explain"):
+        original = evaluate_policy_set(policies, request, combining)
+        keys = schema.attributes()
+        results: List[Counterfactual] = []
+        accepted_changes: List[frozenset] = []
+        for size in range(1, max_changes + 1):
+            for combo in itertools.combinations(keys, size):
+                if any(set(prev) <= set(combo) for prev in accepted_changes):
+                    continue
+                pools = []
+                for category, attribute in combo:
+                    current = request.get(category, attribute)
+                    pools.append(
+                        [
+                            value
+                            for value in schema.domain(category, attribute).values()
+                            if value != current
+                        ]
                     )
-                    changed = changed.with_value(category, attribute, value)
-                new_decision = evaluate_policy_set(policies, changed, combining)
-                if new_decision == original:
-                    continue
-                if new_decision in (Decision.INDETERMINATE, Decision.NOT_APPLICABLE):
-                    continue
-                if target is not None and new_decision != target:
-                    continue
-                results.append(Counterfactual(changes, new_decision))
-                accepted_changes.append(frozenset(combo))
-                if len(results) >= max_results:
-                    return results
-                break  # one witness per attribute combination is enough
-    return results
+                for values in itertools.product(*pools):
+                    changed = request
+                    changes: Dict[Tuple[str, str], Tuple[object, object]] = {}
+                    for (category, attribute), value in zip(combo, values):
+                        changes[(category, attribute)] = (
+                            request.get(category, attribute),
+                            value,
+                        )
+                        changed = changed.with_value(category, attribute, value)
+                    new_decision = evaluate_policy_set(policies, changed, combining)
+                    if new_decision == original:
+                        continue
+                    if new_decision in (Decision.INDETERMINATE, Decision.NOT_APPLICABLE):
+                        continue
+                    if target is not None and new_decision != target:
+                        continue
+                    results.append(Counterfactual(changes, new_decision))
+                    accepted_changes.append(frozenset(combo))
+                    if len(results) >= max_results:
+                        return results
+                    break  # one witness per attribute combination is enough
+        return results

@@ -16,7 +16,8 @@ Four requirements, each with a detector:
   Deny (no NOT_APPLICABLE gaps).
 
 The report structure feeds the AGENP Policy Checking Point's Quality
-Checker (Figure 2).
+Checker (Figure 2).  Each detector runs under a ``policy.quality``
+telemetry span, so :func:`assess` records four.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.policy.evaluation import evaluate_policy, evaluate_policy_set
 from repro.policy.model import Decision, DomainSchema, Request
 from repro.policy.xacml import Match, Policy, Target, XacmlRule
+from repro.telemetry import span as _tele_span
 
 __all__ = [
     "Conflict",
@@ -124,22 +126,23 @@ def find_conflicts(
     contradictions when the algorithm is ``first-applicable`` (where
     ordering silently masks the later rule).
     """
-    conflicts: List[Conflict] = []
-    indexed = [
-        (policy, rule) for policy in policies for rule in policy.rules
-    ]
-    for (pol_a, rule_a), (pol_b, rule_b) in itertools.combinations(indexed, 2):
-        if rule_a.effect == rule_b.effect:
-            continue
-        same_policy = pol_a.policy_id == pol_b.policy_id
-        if same_policy and pol_a.combining != "first-applicable":
-            continue
-        witness = rules_overlap(pol_a, rule_a, pol_b, rule_b, schema)
-        if witness is not None:
-            conflicts.append(
-                Conflict(pol_a.policy_id, rule_a, pol_b.policy_id, rule_b, witness)
-            )
-    return conflicts
+    with _tele_span("policy.quality"):
+        conflicts: List[Conflict] = []
+        indexed = [
+            (policy, rule) for policy in policies for rule in policy.rules
+        ]
+        for (pol_a, rule_a), (pol_b, rule_b) in itertools.combinations(indexed, 2):
+            if rule_a.effect == rule_b.effect:
+                continue
+            same_policy = pol_a.policy_id == pol_b.policy_id
+            if same_policy and pol_a.combining != "first-applicable":
+                continue
+            witness = rules_overlap(pol_a, rule_a, pol_b, rule_b, schema)
+            if witness is not None:
+                conflicts.append(
+                    Conflict(pol_a.policy_id, rule_a, pol_b.policy_id, rule_b, witness)
+                )
+        return conflicts
 
 
 def find_irrelevant(
@@ -153,21 +156,22 @@ def find_irrelevant(
     workload request; otherwise it is checked symbolically against the
     schema.
     """
-    irrelevant = []
-    for policy in policies:
-        if workload is not None:
-            applies = any(
-                evaluate_policy(policy, request)
-                in (Decision.PERMIT, Decision.DENY)
-                for request in workload
-            )
-        else:
-            applies = any(
-                _region(rule, policy, schema) is not None for rule in policy.rules
-            )
-        if not applies:
-            irrelevant.append(policy.policy_id)
-    return irrelevant
+    with _tele_span("policy.quality"):
+        irrelevant = []
+        for policy in policies:
+            if workload is not None:
+                applies = any(
+                    evaluate_policy(policy, request)
+                    in (Decision.PERMIT, Decision.DENY)
+                    for request in workload
+                )
+            else:
+                applies = any(
+                    _region(rule, policy, schema) is not None for rule in policy.rules
+                )
+            if not applies:
+                irrelevant.append(policy.policy_id)
+        return irrelevant
 
 
 def find_redundant(
@@ -183,22 +187,23 @@ def find_redundant(
     With ``exact=True``, each flagged rule is verified semantically:
     dropping it must leave every decision over the schema unchanged.
     """
-    redundant: List[Tuple[str, str]] = []
-    for policy in policies:
-        regions = [(rule, _region(rule, policy, schema)) for rule in policy.rules]
-        for i, (rule_i, region_i) in enumerate(regions):
-            if region_i is None:
-                redundant.append((policy.policy_id, rule_i.rule_id))
-                continue
-            for j in range(i):
-                rule_j, region_j = regions[j]
-                if region_j is None or rule_j.effect != rule_i.effect:
+    with _tele_span("policy.quality"):
+        redundant: List[Tuple[str, str]] = []
+        for policy in policies:
+            regions = [(rule, _region(rule, policy, schema)) for rule in policy.rules]
+            for i, (rule_i, region_i) in enumerate(regions):
+                if region_i is None:
+                    redundant.append((policy.policy_id, rule_i.rule_id))
                     continue
-                if _contains(region_j, region_i, schema):
-                    if not exact or _drop_is_safe(policy, rule_i, schema, max_requests):
-                        redundant.append((policy.policy_id, rule_i.rule_id))
-                    break
-    return redundant
+                for j in range(i):
+                    rule_j, region_j = regions[j]
+                    if region_j is None or rule_j.effect != rule_i.effect:
+                        continue
+                    if _contains(region_j, region_i, schema):
+                        if not exact or _drop_is_safe(policy, rule_i, schema, max_requests):
+                            redundant.append((policy.policy_id, rule_i.rule_id))
+                        break
+        return redundant
 
 
 def _contains(outer: Dict, inner: Dict, schema: DomainSchema) -> bool:
@@ -235,14 +240,15 @@ def find_coverage_gaps(
     max_gaps: int = 100,
 ) -> List[Request]:
     """Requests for which the policy set yields no Permit/Deny decision."""
-    gaps: List[Request] = []
-    for request in schema.all_requests(max_requests=max_requests):
-        decision = evaluate_policy_set(policies, request, combining)
-        if decision in (Decision.NOT_APPLICABLE, Decision.INDETERMINATE):
-            gaps.append(request)
-            if len(gaps) >= max_gaps:
-                break
-    return gaps
+    with _tele_span("policy.quality"):
+        gaps: List[Request] = []
+        for request in schema.all_requests(max_requests=max_requests):
+            decision = evaluate_policy_set(policies, request, combining)
+            if decision in (Decision.NOT_APPLICABLE, Decision.INDETERMINATE):
+                gaps.append(request)
+                if len(gaps) >= max_gaps:
+                    break
+        return gaps
 
 
 class QualityReport:

@@ -1,52 +1,25 @@
-"""Telemetry: structured tracing, metrics, and profiling for AGENP.
+"""Telemetry: per-operation tracing summaries for AGENP.
 
 The observability counterpart to :mod:`repro.runtime`'s governance: where
 budgets *bound* the engine's hot paths, telemetry *measures* them.  A
-:class:`Tracer` installed with :func:`tracer_scope` records parent-linked
-timed spans from every instrumented layer — grounder, solver, Earley
-parser, ASG membership, ILASP learner, PDP, coalition fabric — plus
-typed counters; exporters persist the spans and
-:func:`~repro.telemetry.exporters.summarize` folds them into the
-per-operation report that benchmarks and the
-``python -m repro.telemetry.report`` CLI print.
+:class:`Tracer` installed with :func:`tracer_scope` folds the timed spans
+of every instrumented layer — grounder, solver, Earley parser, ASG
+membership, both learners, PDP, coalition fabric, policy quality and
+explanation — into per-operation aggregates (count, errors, inclusive
+and self time, p50/p95 from a log histogram) plus counters, and keeps
+one record per root span.  :func:`summarize` turns a tracer into the
+JSON summary that benchmarks write and the
+``python -m repro.telemetry.report`` CLI merges and prints.
 
 With no tracer installed every instrumentation point is no-op cheap
 (one context-variable read), so the tier-1 suite and ungoverned callers
 pay nothing.
 """
 
-from repro.telemetry.exporters import (
-    InMemoryCollector,
-    JsonlExporter,
-    format_summary,
-    read_jsonl,
-    summarize,
-)
-from repro.telemetry.tracer import (
-    Metrics,
-    NULL_SPAN,
-    Span,
-    Tracer,
-    current_tracer,
-    incr,
-    observe,
-    span,
-    tracer_scope,
-)
+from repro.telemetry.summary import format_summary, merge, summarize
+from repro.telemetry.tracer import NULL_SPAN, Span, Tracer, current_tracer, incr, span, tracer_scope
 
 __all__ = [
-    "InMemoryCollector",
-    "JsonlExporter",
-    "Metrics",
-    "NULL_SPAN",
-    "Span",
-    "Tracer",
-    "current_tracer",
-    "format_summary",
-    "incr",
-    "observe",
-    "read_jsonl",
-    "span",
-    "summarize",
-    "tracer_scope",
+    "NULL_SPAN", "Span", "Tracer", "current_tracer", "format_summary",
+    "incr", "merge", "span", "summarize", "tracer_scope",
 ]

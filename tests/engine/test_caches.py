@@ -101,7 +101,7 @@ def test_counters_flow_into_telemetry():
         cache.get("a")
         cache.get("nope")
         cache.put("b", 2)  # evicts "a"
-    counters = tracer.metrics.counters
+    counters = tracer.counters
     assert counters["cache.tele.hits"] == 1
     assert counters["cache.tele.misses"] == 1
     assert counters["cache.tele.evictions"] == 1

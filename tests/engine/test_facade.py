@@ -49,3 +49,26 @@ def test_unknown_attribute_still_raises():
     for name in ("definitely_not_a_name", "solve", "Engine", "lint_path"):
         with pytest.raises(AttributeError, match="no attribute"):
             getattr(repro, name)
+
+
+def test_docstring_serving_loop_runs(capsys):
+    """The package docstring's serving-loop example runs as written."""
+    import textwrap
+
+    from repro.agenp.interpreters import FieldInterpreter
+    from repro.agenp.repositories import PolicyRepository, StoredPolicy
+    from repro.policy import Request
+
+    example = repro.__doc__.split("the common serving loop::\n")[1].split("\nEverything else")[0]
+    repository = PolicyRepository()
+    repository.add(StoredPolicy(("allow", "alice", "read")))
+    namespace = {
+        "asg_text": 'policy -> "allow" subject action\nsubject -> "alice"\naction -> "read"\n',
+        "repository": repository,
+        "interpreter": FieldInterpreter({1: ("subject", "id"), 2: ("action", "id")}),
+        "requests": [Request({"subject": {"id": "alice"}, "action": {"id": "read"}})] * 2,
+    }
+    exec(textwrap.dedent(example), namespace)
+    assert [r.decision.value for r in namespace["records"]] == ["permit", "permit"]
+    assert namespace["tracer"].operations["engine.decide_many"]["count"] == 1
+    assert "engine.decide_many" in capsys.readouterr().out

@@ -161,7 +161,7 @@ class TestLASDecomposition:
         assert verify == 3  # one full-oracle call per distinct example
         assert first.checks == built
         assert second.checks == built
-        assert summarize(tracer.spans)["counters"]["learner.checks"] == built + verify
+        assert summarize(tracer)["counters"]["learner.checks"] == built + verify
         assert second.elapsed >= learner._build_s
 
     def test_deny_examples_block_overbroad_rules(self):

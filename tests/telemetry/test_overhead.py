@@ -12,28 +12,24 @@ import time
 
 from repro.asp.parser import parse_program
 from repro.asp.solver import solve
-from repro.telemetry import NULL_SPAN, current_tracer, incr, observe, span
+from repro.telemetry import NULL_SPAN, current_tracer, incr, span
 
 
 def test_span_outside_scope_is_shared_singleton():
     assert current_tracer() is None
-    first = span("asp.solve", atoms=10)
+    first = span("asp.solve")
     second = span("earley.recognize")
     assert first is NULL_SPAN
     assert second is NULL_SPAN
 
 
 def test_null_span_absorbs_full_api():
-    with span("anything", flavour="x") as sp:
-        sp.set(decision="permit")
+    with span("anything") as sp:
         sp.incr("solver.models", 3)
-        sp.observe("latency", 0.1)
     assert sp is NULL_SPAN
     assert sp.trace_id is None
-    assert sp.parent_id is None
     # ambient helpers are also no-ops
     incr("widgets", 5)
-    observe("latency", 1.0)
 
 
 def test_uninstrumented_overhead_is_negligible():
