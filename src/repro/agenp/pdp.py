@@ -91,30 +91,19 @@ class PolicyDecisionPoint:
         self.budget_factory = budget_factory
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._compiled: List[Tuple[StoredPolicy, Policy]] = []
-        self._compiled_for: Optional[Tuple[StoredPolicy, ...]] = None
         self._compiled_generation: Optional[int] = None
         # last compiled set that served a decision successfully
         self._last_good: Optional[List[Tuple[StoredPolicy, Policy]]] = None
 
     def _compile(self) -> List[Tuple[StoredPolicy, Policy]]:
-        """The compiled policy set, recompiled only when the repository moved.
-
-        Staleness is checked against the repository's ``generation``
-        counter when it has one (O(1), the serving hot path); repositories
-        without a counter fall back to content comparison.
-        """
-        generation = getattr(self.repository, "generation", None)
-        if generation is not None:
-            if generation != self._compiled_generation:
-                current = tuple(self.repository.all())
-                self._compiled = [(p, self.interpreter(p.tokens)) for p in current]
-                self._compiled_for = current
-                self._compiled_generation = generation
-            return self._compiled
-        current = tuple(self.repository.all())
-        if self._compiled_for != current:
-            self._compiled = [(p, self.interpreter(p.tokens)) for p in current]
-            self._compiled_for = current
+        """The compiled policy set, recompiled only when the repository's
+        ``generation`` counter moved (O(1) on the serving hot path)."""
+        generation = self.repository.generation
+        if generation != self._compiled_generation:
+            self._compiled = [
+                (p, self.interpreter(p.tokens)) for p in self.repository.all()
+            ]
+            self._compiled_generation = generation
         return self._compiled
 
     def compiled(self) -> List[Tuple[StoredPolicy, Policy]]:
@@ -125,28 +114,6 @@ class PolicyDecisionPoint:
         if self.budget_factory is not None:
             return budget_scope(self.budget_factory())
         return contextlib.nullcontext()
-
-    @staticmethod
-    def _hits(
-        compiled: Sequence[Tuple[StoredPolicy, Policy]], request: Request
-    ) -> List[Tuple[StoredPolicy, Policy, object, Decision]]:
-        hits = []
-        for stored, policy in compiled:
-            for rule, decision in applicable_rules(policy, request):
-                hits.append((stored, policy, rule, decision))
-        return hits
-
-    def _resolve(self, hits) -> Tuple[Decision, str]:
-        if hits:
-            decision = self.strategy([(p, r, d) for __, p, r, d in hits])
-            winning = [
-                stored.text
-                for stored, __, __r, d in hits
-                if d == decision
-            ]
-            policy_text = winning[0] if winning else hits[0][0].text
-            return decision, policy_text
-        return self.default_decision, ""
 
     def decide(self, request: Request, context: Optional[Context] = None) -> DecisionRecord:
         """Evaluate the request; log and return the decision record.
@@ -166,7 +133,9 @@ class PolicyDecisionPoint:
                 return self._degrade(request, context, "circuit open", sp)
             try:
                 with self._scope():
-                    hits = self._hits(self._compile(), request)
+                    decision, policy_text = evaluate_compiled(
+                        self._compile(), request, self.strategy, self.default_decision
+                    )
             except ResourceError as error:
                 self.breaker.record_failure()
                 sp.incr("pdp.resource_errors")
@@ -180,7 +149,6 @@ class PolicyDecisionPoint:
                 raise
             self.breaker.record_success()
             self._last_good = list(self._compiled)
-            decision, policy_text = self._resolve(hits)
             record = DecisionRecord(
                 request, decision, policy_text, context, trace_id=sp.trace_id
             )
@@ -199,8 +167,8 @@ class PolicyDecisionPoint:
         note = f"degraded ({reason}): default decision"
         if self._last_good is not None:
             try:
-                decision, policy_text = self._resolve(
-                    self._hits(self._last_good, request)
+                decision, policy_text = evaluate_compiled(
+                    self._last_good, request, self.strategy, self.default_decision
                 )
                 note = f"degraded ({reason}): last-known-good policies"
             except ReproError:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.asp.atoms import Atom, Comparison, Literal
+from repro.asp.atoms import Atom, Literal
 from repro.asp.rules import ChoiceRule, NormalRule, Program, Rule
 from repro.asp.solver import AnswerSet, solve
 from repro.asg.annotated import ASG

@@ -12,10 +12,9 @@ All entry points return a :class:`~repro.asp.solver.SolveResult` — a
 ``list`` of answer sets that also carries the run's
 :class:`~repro.asp.solver.SolveStats` (``result.stats``), so existing
 list-consuming callers keep working while telemetry-aware ones read the
-counters.  They accept the full solver knob set (``max_models``,
-``max_steps``) and an optional
-:class:`~repro.runtime.budget.Budget` that bounds grounding + solving
-(the ambient budget installed by
+counters.  They accept ``max_models`` and an optional
+:class:`~repro.runtime.budget.Budget`, the one limit on grounding +
+solving (the ambient budget installed by
 :func:`~repro.runtime.budget.budget_scope` is honoured too), raising
 :class:`~repro.errors.BudgetExceededError` /
 :class:`~repro.errors.SolveTimeoutError` when exhausted.
@@ -33,22 +32,14 @@ from repro.runtime.budget import Budget
 
 __all__ = ["solve_text", "is_satisfiable_text", "solve_program", "is_satisfiable"]
 
-_DEFAULT_MAX_STEPS = 50_000_000
-
 
 def solve_text(
     text: str,
     max_models: Optional[int] = None,
     budget: Optional[Budget] = None,
-    max_steps: int = _DEFAULT_MAX_STEPS,
 ) -> SolveResult:
     """Parse, ground, and solve ASP source text."""
-    return solve(
-        parse_program(text),
-        max_models=max_models,
-        budget=budget,
-        max_steps=max_steps,
-    )
+    return solve(parse_program(text), max_models=max_models, budget=budget)
 
 
 def is_satisfiable_text(
@@ -63,15 +54,9 @@ def solve_program(
     program: Program,
     max_models: Optional[int] = None,
     budget: Optional[Budget] = None,
-    max_steps: int = _DEFAULT_MAX_STEPS,
 ) -> SolveResult:
     """Ground and solve an in-memory :class:`Program`."""
-    return solve(
-        program,
-        max_models=max_models,
-        budget=budget,
-        max_steps=max_steps,
-    )
+    return solve(program, max_models=max_models, budget=budget)
 
 
 def is_satisfiable(

@@ -1,16 +1,17 @@
 """Grounding: from first-order programs to ground programs.
 
-The grounder works in two phases:
+The grounder enumerates substitutions once, in a fixpoint:
 
 1. **Possible-atom fixpoint** — treat every rule as if its negative
    literals were absent and every choice element were derivable; compute
    the least set of atoms that could possibly hold. This over-approximates
    every answer set, so it is a sound basis for instantiation.
-2. **Instantiation** — for every rule, enumerate all substitutions whose
-   positive body matches the possible-atom set, evaluate builtin
-   comparisons and arithmetic, and emit the ground instance. Negative
-   literals over atoms that are not possible are trivially true and
-   dropped; ground rules whose body contains a failed comparison are
+2. **Instantiation** — the fixpoint's last pass adds no atom, so it ran
+   against the complete possible-atom set: its substitutions are exactly
+   those whose positive body matches that set.  Each one becomes a
+   ground instance, with builtin comparisons and arithmetic evaluated.
+   Negative literals over atoms that are not possible are trivially true
+   and dropped; ground rules whose body contains a failed comparison are
    dropped entirely.
 
 Safety (every variable bound by a positive body literal, or by an
@@ -21,7 +22,7 @@ grounding; unsafe rules raise :class:`~repro.errors.UnsafeRuleError`.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.asp.atoms import Atom, Comparison, Literal
 from repro.asp.rules import (
@@ -54,12 +55,17 @@ __all__ = [
     "order_body",
 ]
 
+# Runaway guard on the possible-atom set; step budgets and deadlines are
+# the Budget's job.
+_MAX_ATOMS = 2_000_000
+
 
 class GroundStats:
     """Per-run grounding statistics (naive bottom-up fixpoint with indexing).
 
     * ``fixpoint_iterations`` — passes of the possible-atom fixpoint;
-    * ``substitutions`` — substitutions enumerated across both phases;
+    * ``substitutions`` — substitutions enumerated across all fixpoint
+      passes (instantiation reuses the last pass's);
     * ``atoms`` — size of the final possible-atom set;
     * ``rules_grounded`` — ground rules emitted (normal + choice + weak).
     """
@@ -301,13 +307,10 @@ def _enumerate(
     plan: Sequence[BodyElement],
     index: _AtomIndex,
     theta: Substitution,
-    positives_only: bool,
 ) -> Iterator[Substitution]:
     """Enumerate substitutions satisfying the body plan against ``index``.
 
-    When ``positives_only`` is true (possible-atom fixpoint), negative
-    literals are ignored; otherwise a negative literal only *prunes* when
-    its ground atom cannot possibly hold — the solver handles the rest.
+    Negative literals never prune: whether they hold is the solver's job.
     """
     if not plan:
         yield theta
@@ -317,7 +320,7 @@ def _enumerate(
         for candidate in index.candidates(elem.atom):
             extended = match_atom(elem.atom, candidate, theta)
             if extended is not None:
-                yield from _enumerate(rest, index, extended, positives_only)
+                yield from _enumerate(rest, index, extended)
     elif isinstance(elem, Comparison):
         comp = elem.substitute(theta)
         var = _bound_by_assignment(comp, set())
@@ -329,7 +332,7 @@ def _enumerate(
                 return
             extended = dict(theta)
             extended[var] = value
-            yield from _enumerate(rest, index, extended, positives_only)
+            yield from _enumerate(rest, index, extended)
         else:
             if not comp.is_ground():
                 return
@@ -338,9 +341,9 @@ def _enumerate(
             except GroundingError:
                 return
             if holds:
-                yield from _enumerate(rest, index, theta, positives_only)
+                yield from _enumerate(rest, index, theta)
     else:  # negative literal: never binds
-        yield from _enumerate(rest, index, theta, positives_only)
+        yield from _enumerate(rest, index, theta)
 
 
 def _evaluate_atom(atom: Atom) -> Optional[Atom]:
@@ -356,33 +359,28 @@ def _evaluate_atom(atom: Atom) -> Optional[Atom]:
 
 def ground_program(
     program: Program,
-    max_atoms: int = 2_000_000,
     budget: Optional[Budget] = None,
 ) -> GroundProgram:
     """Ground ``program``.
 
-    ``max_atoms`` bounds the possible-atom set as a runaway guard
-    (raises :class:`GroundingError` when exceeded).  ``budget``
-    (explicit or ambient) is ticked once per enumerated substitution in
-    both phases, so step budgets and deadlines interrupt grounding
-    before the possible-atom set explodes.
+    ``budget`` (explicit or ambient) is ticked once per enumerated
+    substitution, so step budgets and deadlines interrupt grounding
+    before the possible-atom set explodes.  Past ``_MAX_ATOMS`` possible
+    atoms grounding stops with :class:`GroundingError`, a runaway guard
+    for programs run without a budget.
 
     The returned program carries :class:`GroundStats` (``.stats``);
     the same numbers are added, as ``grounder.*`` counters under an
     ``asp.ground`` span, to the ambient tracer when one is installed.
     """
     with _tele_span("asp.ground") as sp:
-        ground = _ground(program, max_atoms, budget)
+        ground = _ground(program, budget)
         for name, value in ground.stats.as_dict().items():
             sp.incr(f"grounder.{name}", value)
         return ground
 
 
-def _ground(
-    program: Program,
-    max_atoms: int,
-    budget: Optional[Budget],
-) -> GroundProgram:
+def _ground(program: Program, budget: Optional[Budget]) -> GroundProgram:
     if budget is None:
         budget = current_budget()
     stats = GroundStats()
@@ -392,17 +390,22 @@ def _ground(
 
     index = _AtomIndex()
 
-    # Phase 1: possible-atom fixpoint (naive iteration with indexing; the
-    # programs produced by the policy layer are small and shallow).
+    # Possible-atom fixpoint (naive iteration with indexing; the programs
+    # produced by the policy layer are small and shallow).  Each pass
+    # records its substitutions; the last one adds no atom, so it ran
+    # against the complete possible-atom set and its record is exactly
+    # what instantiation needs.
     changed = True
     while changed:
         changed = False
         stats.fixpoint_iterations += 1
+        matches: List[Tuple[Rule, Substitution]] = []
         for rule, plan in plans:
-            for theta in _enumerate(plan, index, {}, positives_only=True):
+            for theta in _enumerate(plan, index, {}):
                 stats.substitutions += 1
                 if budget is not None:
                     budget.tick()
+                matches.append((rule, theta))
                 heads: List[Atom] = []
                 if isinstance(rule, NormalRule):
                     if rule.head is not None:
@@ -415,72 +418,68 @@ def _ground(
                         continue
                     if index.add(evaluated):
                         changed = True
-                        if len(index.atoms) > max_atoms:
+                        if len(index.atoms) > _MAX_ATOMS:
                             raise GroundingError(
-                                f"possible-atom set exceeded {max_atoms} atoms"
+                                f"possible-atom set exceeded {_MAX_ATOMS} atoms"
                             )
 
-    # Phase 2: instantiation against the complete possible-atom set.
+    # Instantiation of the last pass's substitutions.
     normal_rules: List[NormalRule] = []
     choice_rules: List[ChoiceRule] = []
     weak_constraints: List[WeakConstraint] = []
     seen_normal: Set[NormalRule] = set()
     seen_choice: Set[ChoiceRule] = set()
     seen_weak: Set[WeakConstraint] = set()
-    for rule, plan in plans:
-        for theta in _enumerate(plan, index, {}, positives_only=False):
-            stats.substitutions += 1
-            if budget is not None:
-                budget.tick()
-            body: List[BodyElement] = []
-            viable = True
-            for elem in rule.body:
-                if isinstance(elem, Comparison):
-                    continue  # already checked during enumeration
-                literal = elem.substitute(theta)
-                atom = _evaluate_atom(literal.atom)
-                if atom is None:
-                    viable = False
-                    break
-                if literal.positive:
-                    body.append(Literal(atom, True))
-                else:
-                    if atom in index:
-                        body.append(Literal(atom, False))
-                    # else: trivially true, drop
-            if not viable:
-                continue
-            if isinstance(rule, NormalRule):
-                head = None
-                if rule.head is not None:
-                    head = _evaluate_atom(rule.head.substitute(theta))
-                    if head is None:
-                        continue
-                ground = NormalRule(head, body)
-                if ground not in seen_normal:
-                    seen_normal.add(ground)
-                    normal_rules.append(ground)
-            elif isinstance(rule, WeakConstraint):
-                try:
-                    weight = rule.weight.substitute(theta).evaluate()
-                except GroundingError:
-                    continue
-                ground_weak = WeakConstraint(body, weight, rule.priority)
-                if ground_weak not in seen_weak:
-                    seen_weak.add(ground_weak)
-                    weak_constraints.append(ground_weak)
+    for rule, theta in matches:
+        body: List[BodyElement] = []
+        viable = True
+        for elem in rule.body:
+            if isinstance(elem, Comparison):
+                continue  # already checked during enumeration
+            literal = elem.substitute(theta)
+            atom = _evaluate_atom(literal.atom)
+            if atom is None:
+                viable = False
+                break
+            if literal.positive:
+                body.append(Literal(atom, True))
             else:
-                elements = []
-                for atom in rule.elements:
-                    evaluated = _evaluate_atom(atom.substitute(theta))
-                    if evaluated is None:
-                        break
-                    elements.append(evaluated)
-                else:
-                    ground_choice = ChoiceRule(elements, body, rule.lower, rule.upper)
-                    if ground_choice not in seen_choice:
-                        seen_choice.add(ground_choice)
-                        choice_rules.append(ground_choice)
+                if atom in index:
+                    body.append(Literal(atom, False))
+                # else: trivially true, drop
+        if not viable:
+            continue
+        if isinstance(rule, NormalRule):
+            head = None
+            if rule.head is not None:
+                head = _evaluate_atom(rule.head.substitute(theta))
+                if head is None:
+                    continue
+            ground = NormalRule(head, body)
+            if ground not in seen_normal:
+                seen_normal.add(ground)
+                normal_rules.append(ground)
+        elif isinstance(rule, WeakConstraint):
+            try:
+                weight = rule.weight.substitute(theta).evaluate()
+            except GroundingError:
+                continue
+            ground_weak = WeakConstraint(body, weight, rule.priority)
+            if ground_weak not in seen_weak:
+                seen_weak.add(ground_weak)
+                weak_constraints.append(ground_weak)
+        else:
+            elements = []
+            for atom in rule.elements:
+                evaluated = _evaluate_atom(atom.substitute(theta))
+                if evaluated is None:
+                    break
+                elements.append(evaluated)
+            else:
+                ground_choice = ChoiceRule(elements, body, rule.lower, rule.upper)
+                if ground_choice not in seen_choice:
+                    seen_choice.add(ground_choice)
+                    choice_rules.append(ground_choice)
     stats.atoms = len(index.atoms)
     stats.rules_grounded = len(normal_rules) + len(choice_rules) + len(weak_constraints)
     return GroundProgram(

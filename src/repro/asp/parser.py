@@ -29,7 +29,7 @@ occurrence.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.asp.atoms import Atom, Comparison, Literal
 from repro.asp.rules import (

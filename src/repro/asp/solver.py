@@ -50,6 +50,10 @@ _TRUE = 1
 _FALSE = -1
 _UNKNOWN = 0
 
+# Runaway guard on propagation passes: effectively "never" for the
+# policy-layer programs; step budgets and deadlines are the Budget's job.
+_MAX_STEPS = 50_000_000
+
 
 class SolveStats:
     """Search statistics for one solver run (the ILASP-style per-run
@@ -120,35 +124,29 @@ class _Rule:
 class AnswerSetSolver:
     """Enumerate the answer sets of a ground program.
 
-    Resource governance: ``max_steps`` (default 50 million propagation
-    passes — effectively "never" for the policy-layer programs, a
-    runaway guard for adversarial ones) bounds the internal step count;
-    exhausting it raises :class:`~repro.errors.BudgetExceededError`
-    carrying ``steps_used``.  An explicit ``budget`` (or, when omitted,
-    the ambient :func:`~repro.runtime.budget.current_budget`) is ticked
-    once per propagation pass, so wall-clock deadlines and shared step
-    budgets interrupt the solver mid-solve.
+    Resource governance: an explicit ``budget`` (or, when omitted, the
+    ambient :func:`~repro.runtime.budget.current_budget`) is ticked once
+    per propagation pass, so wall-clock deadlines and shared step
+    budgets interrupt the solver mid-solve.  Past ``_MAX_STEPS`` passes
+    (a runaway guard for adversarial programs) the solver raises
+    :class:`~repro.errors.BudgetExceededError` carrying ``steps_used``.
 
     Stability skip: every complete candidate reaching verification is a
-    *supported* model (no-support propagation runs to fixpoint before
-    the branch selector can report "all assigned", and every rule is
-    checked).  When the ground program is tight (its positive dependency
-    graph is acyclic), supported models coincide with stable models
-    (Fages' theorem), so the Gelfond–Lifschitz reduct check is provably
-    redundant and is skipped — counted in ``stats.stability_skips``
-    instead of ``stats.stability_checks``.  Negation plays no part: even
-    loops and the choice-rule encoding add only negative edges.  A
-    positive loop such as ``p :- q. q :- p.`` has the supported model
-    ``{p, q}`` that is not stable, so non-tight programs take the check.
+    *supported* model (propagation runs to fixpoint before the branch
+    selector can report "all assigned"; its last pass found every rule
+    with a true body to have a true head, and every true atom to have a
+    supporting rule).  When the ground program is tight (its positive
+    dependency graph is acyclic), supported models coincide with stable
+    models (Fages' theorem), so the Gelfond–Lifschitz reduct check is
+    provably redundant and is skipped — counted in
+    ``stats.stability_skips`` instead of ``stats.stability_checks``.
+    Negation plays no part: even loops and the choice-rule encoding add
+    only negative edges.  A positive loop such as ``p :- q. q :- p.``
+    has the supported model ``{p, q}`` that is not stable, so non-tight
+    programs take the check.
     """
 
-    def __init__(
-        self,
-        ground: GroundProgram,
-        max_steps: int = 50_000_000,
-        budget: Optional[Budget] = None,
-    ):
-        self._max_steps = max_steps
+    def __init__(self, ground: GroundProgram, budget: Optional[Budget] = None):
         self._steps = 0
         self._budget = budget if budget is not None else current_budget()
         self._tight: Optional[bool] = None  # decided lazily on first verify
@@ -301,11 +299,11 @@ class AnswerSetSolver:
         changed = True
         while changed:
             self._steps += 1
-            if self._steps > self._max_steps:
+            if self._steps > _MAX_STEPS:
                 raise BudgetExceededError(
                     "solver step limit exceeded",
                     steps_used=self._steps,
-                    max_steps=self._max_steps,
+                    max_steps=_MAX_STEPS,
                 )
             if self._budget is not None:
                 self._budget.tick()
@@ -405,14 +403,13 @@ class AnswerSetSolver:
         return self._tight
 
     def _verify(self, assignment: List[int]) -> bool:
-        """Check a complete assignment: rules, choice bounds, stability."""
-        for rule in self._rules:
-            body_true = all(
-                self._literal_value(a, p, assignment) == _TRUE for a, p in rule.body
-            )
-            if body_true:
-                if rule.head is None or assignment[rule.head] != _TRUE:
-                    return False
+        """Check a complete assignment: choice bounds, then stability.
+
+        Rules need no re-check: ``_search`` calls this only straight
+        after ``_propagate`` reached a conflict-free fixpoint on this very
+        assignment, and that pass found every rule with a true body to
+        have a true head.
+        """
         for body, elements, lower, upper in self._bounds:
             body_true = all(
                 self._literal_value(a, p, assignment) == _TRUE for a, p in body
@@ -468,7 +465,6 @@ class AnswerSetSolver:
 def solve(
     program: Program,
     max_models: Optional[int] = None,
-    max_steps: int = 50_000_000,
     budget: Optional[Budget] = None,
 ) -> SolveResult:
     """Ground and solve ``program``; return its answer sets.
@@ -479,9 +475,7 @@ def solve(
     run's :class:`SolveStats`.
     """
     ground = ground_program(program, budget=budget)
-    return AnswerSetSolver(ground, max_steps=max_steps, budget=budget).solve(
-        max_models=max_models
-    )
+    return AnswerSetSolver(ground, budget=budget).solve(max_models=max_models)
 
 
 CostVector = Tuple[Tuple[int, int], ...]
@@ -514,7 +508,6 @@ def cost_of(ground: GroundProgram, model: AnswerSet) -> CostVector:
 
 def solve_optimal(
     program: Program,
-    max_steps: int = 50_000_000,
     max_candidates: int = 100_000,
     budget: Optional[Budget] = None,
 ) -> Tuple[List[AnswerSet], CostVector]:
@@ -526,7 +519,7 @@ def solve_optimal(
     is optimal at the empty cost.
     """
     ground = ground_program(program, budget=budget)
-    solver = AnswerSetSolver(ground, max_steps=max_steps, budget=budget)
+    solver = AnswerSetSolver(ground, budget=budget)
     models = solver.solve(max_models=max_candidates)
     if not models:
         return SolveResult([], solver.stats), ()

@@ -17,7 +17,7 @@ All terms are immutable and hashable; substitution returns new objects.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Sequence, Tuple, Union
+from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.errors import GroundingError
 

@@ -5,9 +5,9 @@ hit/miss/eviction counters) backs four concrete caches.  Keys are plain
 hashable values; rules compare by the AST's structural equality:
 
 * :class:`ParseCache` — source text → parsed ``Program``;
-* :class:`GroundCache` — (rule tuple, max_atoms) → ``GroundProgram``;
-* :class:`SolveCache` — (rule tuple, solver options) →
-  ``SolveResult`` snapshot;
+* :class:`GroundCache` — rule tuple → ``GroundProgram``;
+* :class:`SolveCache` — (rule tuple, ``max_models``) → ``SolveResult``
+  snapshot;
 * :class:`MembershipCache` — (ASG snapshot, token tuple, options) → the
   membership verdict for an ASG policy string.
 
@@ -167,8 +167,8 @@ class ParseCache(LRUCache[str, Any]):
         super().__init__(max_entries, name="parse")
 
 
-class GroundCache(LRUCache[Tuple[tuple, int], GroundProgram]):
-    """(rule tuple, max_atoms) → :class:`GroundProgram`.
+class GroundCache(LRUCache[tuple, GroundProgram]):
+    """Rule tuple → :class:`GroundProgram`.
 
     Ground programs are shared, not copied: the solver treats them as
     read-only inputs, and every :class:`AnswerSetSolver` builds its own
@@ -189,12 +189,13 @@ class _SolveEntry:
         self.stats: SolveStats = result.stats
 
 
-class SolveCache(LRUCache[Tuple[tuple, Any], _SolveEntry]):
-    """(rule tuple, solver-option key) → solve snapshot.
+class SolveCache(LRUCache[Tuple[tuple, Optional[int]], _SolveEntry]):
+    """(rule tuple, ``max_models``) → solve snapshot.
 
-    The option key includes every knob that can change the answer
-    (``max_models``, ``max_steps``), so a truncated
-    ``max_models=1`` result can never serve an exhaustive query.
+    ``max_models`` is the only option that can change the answer (limits
+    are the Budget's, and exhausted-budget results are never admitted),
+    so a truncated ``max_models=1`` result can never serve an exhaustive
+    query.
 
     ``get_result`` rebuilds a fresh :class:`SolveResult` per hit — the
     models tuple is shared (answer sets are frozensets), the list shell
@@ -204,7 +205,7 @@ class SolveCache(LRUCache[Tuple[tuple, Any], _SolveEntry]):
     def __init__(self, max_entries: int = 1024):
         super().__init__(max_entries, name="solve")
 
-    def get_result(self, key: Tuple[tuple, Any]) -> Optional[SolveResult]:
+    def get_result(self, key: Tuple[tuple, Optional[int]]) -> Optional[SolveResult]:
         entry = self.get(key)
         if entry is None:
             return None
@@ -212,7 +213,7 @@ class SolveCache(LRUCache[Tuple[tuple, Any], _SolveEntry]):
 
     def put_result(
         self,
-        key: Tuple[tuple, Any],
+        key: Tuple[tuple, Optional[int]],
         result: SolveResult,
         budget: Optional[Budget] = None,
     ) -> bool:

@@ -12,8 +12,8 @@ the AST's structural ``__eq__``/``__hash__``, so ``Integer(1)`` and
   consult a parse cache (source text → program), a
   :class:`~repro.engine.caches.GroundCache` (rule tuple → ground
   program) and a :class:`~repro.engine.caches.SolveCache` (rule tuple +
-  solver options → answer sets).  Results are byte-identical to the
-  uncached path: the key covers rule order and every knob that can
+  ``max_models`` → answer sets).  Results are byte-identical to the
+  uncached path: the key covers rule order and the only knob that can
   change the answer, and cached models are returned in their original
   order.
 * **Membership path** — ``engine.accepts(asg, tokens)`` memoizes ASG
@@ -43,7 +43,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.asp.grounder import GroundProgram, ground_program
 from repro.asp.parser import parse_program
 from repro.asp.rules import Program
-from repro.asp.solver import AnswerSetSolver, SolveResult, solve
+from repro.asp.solver import AnswerSetSolver, SolveResult
 from repro.asg.semantics import accepts as _asg_accepts
 from repro.agenp.monitoring import DecisionRecord, MonitoringLog
 from repro.agenp.pdp import PolicyDecisionPoint, evaluate_compiled
@@ -61,9 +61,6 @@ from repro.runtime.budget import Budget
 from repro.telemetry import span as _tele_span
 
 __all__ = ["PolicyEngine", "EngineStats"]
-
-_DEFAULT_MAX_STEPS = 50_000_000
-_DEFAULT_MAX_ATOMS = 2_000_000
 
 
 class EngineStats:
@@ -154,19 +151,14 @@ class PolicyEngine:
         self.parse_cache.put(text, program)
         return program
 
-    def ground(
-        self,
-        program: Program,
-        max_atoms: int = _DEFAULT_MAX_ATOMS,
-        budget: Optional[Budget] = None,
-    ) -> GroundProgram:
+    def ground(self, program: Program, budget: Optional[Budget] = None) -> GroundProgram:
         """Ground ``program`` through the ground cache."""
-        key = (tuple(program.rules), max_atoms)
-        cached = self.ground_cache.get(key)
+        rules = tuple(program.rules)
+        cached = self.ground_cache.get(rules)
         if cached is not None:
             return cached
-        ground = ground_program(program, max_atoms=max_atoms, budget=budget)
-        self.ground_cache.put(key, ground, budget=budget)
+        ground = ground_program(program, budget=budget)
+        self.ground_cache.put(rules, ground, budget=budget)
         return ground
 
     def solve(
@@ -174,7 +166,6 @@ class PolicyEngine:
         program: Program,
         max_models: Optional[int] = None,
         budget: Optional[Budget] = None,
-        max_steps: int = _DEFAULT_MAX_STEPS,
     ) -> SolveResult:
         """Ground and solve ``program`` through both engine caches.
 
@@ -183,17 +174,13 @@ class PolicyEngine:
         grounding, and solving entirely.
         """
         rules = tuple(program.rules)
-        key = (rules, (max_models, max_steps))
+        key = (rules, max_models)
         with _tele_span("engine.solve"):
             cached = self.solve_cache.get_result(key)
             if cached is not None:
                 return cached
-            ground_key = (rules, _DEFAULT_MAX_ATOMS)
-            ground = self.ground_cache.get(ground_key)
-            if ground is None:
-                ground = ground_program(program, budget=budget)
-                self.ground_cache.put(ground_key, ground, budget=budget)
-            solver = AnswerSetSolver(ground, max_steps=max_steps, budget=budget)
+            ground = self.ground(program, budget=budget)
+            solver = AnswerSetSolver(ground, budget=budget)
             result = solver.solve(max_models=max_models)
             self.solve_cache.put_result(key, result, budget=budget)
             return result
@@ -203,15 +190,9 @@ class PolicyEngine:
         text: str,
         max_models: Optional[int] = None,
         budget: Optional[Budget] = None,
-        max_steps: int = _DEFAULT_MAX_STEPS,
     ) -> SolveResult:
         """Parse, ground, and solve source text through every cache."""
-        return self.solve(
-            self.parse(text),
-            max_models=max_models,
-            budget=budget,
-            max_steps=max_steps,
-        )
+        return self.solve(self.parse(text), max_models=max_models, budget=budget)
 
     # -- membership path ----------------------------------------------------
 
@@ -264,12 +245,7 @@ class PolicyEngine:
         return self.pdp
 
     def _generations(self) -> Tuple[int, int]:
-        policy_gen = (
-            self.pdp.repository.generation
-            if self.pdp is not None
-            and hasattr(self.pdp.repository, "generation")
-            else -1
-        )
+        policy_gen = self.pdp.repository.generation if self.pdp is not None else -1
         context_gen = (
             self.contexts.generation
             if self.contexts is not None

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.errors import AmbiguityLimitError, GrammarError
-from repro.grammar.cfg import CFG, Production, Symbol, SymbolString
+from repro.errors import AmbiguityLimitError
+from repro.grammar.cfg import CFG, Symbol, SymbolString
 from repro.grammar.parse_tree import ParseTree
 from repro.runtime.budget import Budget, current_budget
 from repro.telemetry import span as _tele_span

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.policy.evaluation import evaluate_policy, evaluate_policy_set
 from repro.policy.model import Decision, DomainSchema, Request
-from repro.policy.xacml import Match, Policy, Target, XacmlRule
+from repro.policy.xacml import Policy, XacmlRule
 from repro.telemetry import span as _tele_span
 
 __all__ = [

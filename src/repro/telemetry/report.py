@@ -4,13 +4,16 @@ Merges telemetry summaries (the ``BENCH_<module>.json`` artifacts
 benchmarks write) and prints per-operation count, p50/p95/max latency,
 inclusive and self time, plus counter totals; ``--json`` prints the
 merged summary instead.  An unreadable, non-JSON or non-summary file
-exits with status 2.
+exits with status 2.  A reader that closes the pipe early (``| head``)
+ends the report quietly with status 141, as a process killed by SIGPIPE
+would; success is status 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -52,11 +55,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
     summary = merge(summaries)
     if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        text = json.dumps(summary, indent=2, sort_keys=True)
     else:
         spans = sum(row["count"] for row in summary["operations"].values())
         title = f"telemetry summary — {spans} spans from {len(args.paths)} file(s)"
-        print(format_summary(summary, title=title))
+        text = format_summary(summary, title=title)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the interpreter's
+        # final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.asp import solve_text
+from repro.asp import solve_text, solver as solver_module
 from repro.asp.grounder import ground_program
 from repro.asp.parser import parse_program
 from repro.asp.solver import AnswerSetSolver, solve
@@ -65,9 +65,10 @@ class TestAmbientBudget:
 
 
 class TestSolverStepLimit:
-    def test_max_steps_exhaustion_is_typed(self):
+    def test_max_steps_exhaustion_is_typed(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_MAX_STEPS", 1_000)
         ground = ground_program(parse_program(HARD))
-        solver = AnswerSetSolver(ground, max_steps=1_000)
+        solver = AnswerSetSolver(ground)
         with pytest.raises(BudgetExceededError) as err:
             solver.solve()
         assert err.value.steps_used >= 1_000
@@ -76,5 +77,5 @@ class TestSolverStepLimit:
 
     def test_default_step_limit_is_runaway_guard(self):
         ground = ground_program(parse_program("a."))
-        solver = AnswerSetSolver(ground)
-        assert solver._max_steps == 50_000_000
+        AnswerSetSolver(ground).solve()
+        assert solver_module._MAX_STEPS == 50_000_000

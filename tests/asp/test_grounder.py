@@ -1,10 +1,19 @@
 """Unit tests for the grounder."""
 
+import random
+import re
+from typing import List, Set, Tuple
+
 import pytest
 
+from repro.asp import grounder
+from repro.asp.atoms import Comparison, Literal
 from repro.asp.grounder import ground_program, match_atom
 from repro.asp.parser import parse_atom, parse_program
+from repro.asp.rules import ChoiceRule, NormalRule, WeakConstraint
 from repro.errors import GroundingError, UnsafeRuleError
+
+from tests.asp.test_solver_fast_path import random_program
 
 
 def ground(text: str):
@@ -98,12 +107,13 @@ class TestSafety:
         with pytest.raises(UnsafeRuleError):
             ground("q(Y) :- p(X). p(1).")
 
-    def test_atom_bomb_guard(self):
+    def test_atom_bomb_guard(self, monkeypatch):
+        monkeypatch.setattr(grounder, "_MAX_ATOMS", 100)
         text = (
             "n(1..9). p(A, B, C) :- n(A), n(B), n(C)."
         )
         with pytest.raises(GroundingError):
-            ground_program(parse_program(text), max_atoms=100)
+            ground_program(parse_program(text))
 
 
 class TestMatching:
@@ -126,3 +136,114 @@ class TestMatching:
         theta = match_atom(parse_atom("p(f(X))"), parse_atom("p(f(q))"), {})
         assert theta is not None
         assert repr(theta["X"]) == "q"
+
+
+class TestOneEnumeration:
+    def test_instantiation_reuses_the_last_fixpoint_pass(self):
+        # pass 1 derives p(1), p(2), q(1), q(2); pass 2 adds nothing and
+        # its 4 substitutions are the ones instantiated: no third pass
+        result = ground("p(1). p(2). q(X) :- p(X).")
+        stats = result.stats
+        assert stats.fixpoint_iterations == 2
+        assert stats.rules_grounded == 4
+        assert stats.substitutions == stats.fixpoint_iterations * stats.rules_grounded == 8
+
+
+def reference_ground(program) -> Tuple[list, list, list, Set]:
+    """The grounder with a separate instantiation pass: the possible-atom
+    fixpoint first, then a fresh enumeration of every rule against the
+    complete possible-atom set."""
+    plans = [(rule, grounder.order_body(rule)) for rule in program]
+    index = grounder._AtomIndex()
+    changed = True
+    while changed:
+        changed = False
+        for rule, plan in plans:
+            for theta in grounder._enumerate(plan, index, {}):
+                heads = []
+                if isinstance(rule, NormalRule):
+                    if rule.head is not None:
+                        heads = [rule.head.substitute(theta)]
+                elif isinstance(rule, ChoiceRule):
+                    heads = [a.substitute(theta) for a in rule.elements]
+                for head in heads:
+                    evaluated = grounder._evaluate_atom(head)
+                    if evaluated is not None and index.add(evaluated):
+                        changed = True
+    normal: List[NormalRule] = []
+    choice: List[ChoiceRule] = []
+    weak: List[WeakConstraint] = []
+    for rule, plan in plans:
+        for theta in grounder._enumerate(plan, index, {}):
+            body = []
+            viable = True
+            for elem in rule.body:
+                if isinstance(elem, Comparison):
+                    continue
+                literal = elem.substitute(theta)
+                atom = grounder._evaluate_atom(literal.atom)
+                if atom is None:
+                    viable = False
+                    break
+                if literal.positive or atom in index:
+                    body.append(Literal(atom, literal.positive))
+            if not viable:
+                continue
+            if isinstance(rule, NormalRule):
+                head = None
+                if rule.head is not None:
+                    head = grounder._evaluate_atom(rule.head.substitute(theta))
+                    if head is None:
+                        continue
+                instance = NormalRule(head, body)
+                if instance not in normal:
+                    normal.append(instance)
+            elif isinstance(rule, WeakConstraint):
+                instance = WeakConstraint(
+                    body, rule.weight.substitute(theta).evaluate(), rule.priority
+                )
+                if instance not in weak:
+                    weak.append(instance)
+            else:
+                elements = [
+                    grounder._evaluate_atom(a.substitute(theta)) for a in rule.elements
+                ]
+                if None in elements:
+                    continue
+                instance = ChoiceRule(elements, body, rule.lower, rule.upper)
+                if instance not in choice:
+                    choice.append(instance)
+    return normal, choice, weak, set(index.atoms)
+
+
+def lifted(text: str) -> str:
+    """Give every atom of a propositional program an argument ranging
+    over ``d/1``, so instantiation order depends on the atom index."""
+    rules = ["d(1). d(2). d(3). d(X + 1) :- d(X), X < 4."]
+    for line in text.splitlines():
+        line = re.sub(r"\b([a-f])\b", r"\1(X)", line)
+        if ":-" in line:
+            line = line.replace(":-", ":- d(X),", 1)
+        else:
+            line = line[:-1] + " :- d(X)."
+        rules.append(line)
+    rules.append(":~ a(X), d(X). [X@1]")
+    return "\n".join(rules)
+
+
+def test_random_programs_ground_as_with_a_separate_instantiation_pass():
+    rng = random.Random(20190707)
+    passes = set()
+    for _ in range(300):
+        propositional = random_program(rng)
+        for text in (propositional, lifted(propositional)):
+            program = parse_program(text)
+            result = ground_program(program)
+            normal, choice, weak, atoms = reference_ground(program)
+            assert result.normal_rules == normal, text
+            assert result.choice_rules == choice, text
+            assert result.weak_constraints == weak, text
+            assert result.atoms == atoms, text
+            passes.add(result.stats.fixpoint_iterations)
+    # multi-pass fixpoints are exercised, not just one-pass programs
+    assert max(passes) >= 4

@@ -29,7 +29,10 @@ def params(func):
     "func", [solve, solve_program, solve_text, PolicyEngine.solve, PolicyEngine.solve_text]
 )
 def test_solver_entrypoints_share_knobs(func):
-    assert {"max_models", "budget", "max_steps"} <= params(func)
+    # the Budget is the one limit: no per-call step knob beside it
+    knobs = params(func) - {"self", "program", "text"}
+    assert knobs == {"max_models", "budget"}
+    assert "max_steps" not in params(func)
 
 
 @pytest.mark.parametrize("func", [is_satisfiable, is_satisfiable_text])

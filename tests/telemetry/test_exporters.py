@@ -92,3 +92,30 @@ def test_report_cli_rejects_non_summary_json(tmp_path, capsys):
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert report_main([str(path)]) == 2
         assert f"error: cannot read {path}: not a telemetry summary" in capsys.readouterr().err
+
+
+def test_report_cli_quiet_when_reader_closes_early(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    tracer = Tracer()
+    with tracer_scope(tracer):
+        for i in range(3000):  # a table far larger than a pipe buffer
+            with tracer.span(f"op.{i:04d}"):
+                pass
+    path = write_summary(tmp_path / "BENCH_big.json", summarize(tracer))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.telemetry.report", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.readline()  # like `| head -1`
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
