@@ -48,7 +48,7 @@ __version__ = "0.1.0"
 from repro.errors import ReproError
 from repro.analysis import lint_paths
 from repro.asg import accepts, parse_asg
-from repro.asp import is_satisfiable_text, solve_program, solve_text
+from repro.asp import solve_text
 from repro.engine import PolicyEngine
 from repro.runtime.budget import Budget, budget_scope
 from repro.telemetry import tracer_scope
@@ -56,8 +56,6 @@ from repro.telemetry import tracer_scope
 __all__ = [
     "PolicyEngine",
     "solve_text",
-    "solve_program",
-    "is_satisfiable_text",
     "parse_asg",
     "accepts",
     "lint_paths",

@@ -15,7 +15,7 @@ paper describes:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.contexts import Context
 from repro.core.gpm import GenerativePolicyModel
@@ -37,9 +37,8 @@ from repro.agenp.repositories import (
     StoredPolicy,
 )
 from repro.policy.goals import GoalMonitor
-from repro.policy.model import Decision, DomainSchema, Request
+from repro.policy.model import DomainSchema, Request
 from repro.runtime.breaker import CircuitBreaker
-from repro.runtime.budget import Budget
 
 __all__ = ["AutonomousManagedSystem"]
 
@@ -47,13 +46,11 @@ __all__ = ["AutonomousManagedSystem"]
 class AutonomousManagedSystem:
     """One autonomous coalition party under policy-based management.
 
-    Resource governance (optional): ``decision_budget`` is a factory
-    producing one fresh :class:`~repro.runtime.budget.Budget` per PDP
-    decision, and ``breaker`` the circuit breaker guarding the PDP's
-    solver-backed interpretation path; ``learn_budget`` likewise bounds
-    each PAdaP adaptation run (the learner returns a degraded
-    best-so-far hypothesis when it runs out).  All default to
-    ungoverned, preserving exact pre-governance behaviour.
+    Resource governance: ``breaker`` (optional) is the circuit breaker
+    guarding the PDP's solver-backed interpretation path.  A
+    :func:`~repro.runtime.budget.budget_scope` around any lifecycle call
+    bounds it; around :meth:`adapt`, the learner returns a hypothesis
+    marked degraded when the budget runs out instead of raising.
     """
 
     def __init__(
@@ -64,9 +61,7 @@ class AutonomousManagedSystem:
         schema: Optional[DomainSchema] = None,
         max_policy_length: int = 12,
         max_learn_violations: int = 0,
-        decision_budget=None,
         breaker: Optional[CircuitBreaker] = None,
-        learn_budget=None,
     ):
         self.name = name
         self.specification = specification
@@ -88,13 +83,11 @@ class AutonomousManagedSystem:
             self.representations,
             pcp=self.pcp,
             max_violations=max_learn_violations,
-            budget_factory=learn_budget,
         )
         self.pdp = PolicyDecisionPoint(
             self.policy_repository,
             interpreter,
             self.log,
-            budget_factory=decision_budget,
             breaker=breaker,
         )
         self.pep = PolicyEnforcementPoint(ManagedResource(name), log=self.log)

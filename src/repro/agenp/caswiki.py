@@ -10,9 +10,8 @@ minimum trust, and consumers rate contributions, updating trust
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.contexts import Context
 from repro.agenp.repositories import StoredPolicy
 from repro.errors import AgenpError
 from repro.grammar.cfg import SymbolString

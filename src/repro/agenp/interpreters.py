@@ -9,7 +9,7 @@ with richer grammars supply their own callable.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.errors import AgenpError
 from repro.grammar.cfg import SymbolString

@@ -13,7 +13,6 @@ from __future__ import annotations
 import weakref
 from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.core.contexts import Context
 from repro.core.gpm import GenerativePolicyModel
 from repro.core.workflow import LabeledExample, learn_gpm
 from repro.agenp.monitoring import MonitoringLog
@@ -45,13 +44,11 @@ class PolicyAdaptationPoint:
         representations: RepresentationsRepository,
         pcp: Optional[PolicyCheckingPoint] = None,
         max_violations: int = 0,
-        budget_factory=None,
     ):
         self.hypothesis_space = list(hypothesis_space)
         self.representations = representations
         self.pcp = pcp
         self.max_violations = max_violations
-        self.budget_factory = budget_factory
         self.examples: List[LabeledExample] = []
         self._known: Set[tuple] = set()
         self._cursors = weakref.WeakKeyDictionary()  # log -> review cursor
@@ -105,23 +102,15 @@ class PolicyAdaptationPoint:
         On an unsatisfiable task the learner retries with growing
         violation budgets (noisy feedback is a fact of coalition life —
         paper Section IV.C); the last resort keeps the current model.
-        With a ``budget_factory``, each learning attempt runs under a
-        fresh resource budget; a budget-exhausted attempt yields the
+        Under an ambient budget, a budget-exhausted attempt yields the
         learner's degraded best-so-far hypothesis rather than stalling.
         """
         model = self.representations.latest()
         allowed = self.max_violations
         while True:
             try:
-                learn_budget = (
-                    self.budget_factory() if self.budget_factory is not None else None
-                )
                 new_model, result = learn_gpm(
-                    model,
-                    self.hypothesis_space,
-                    self.examples,
-                    max_violations=allowed,
-                    budget=learn_budget,
+                    model, self.hypothesis_space, self.examples, max_violations=allowed
                 )
                 self.representations.store(new_model)
                 return new_model, result

@@ -8,10 +8,9 @@ turns it into the initial ASG the PReP starts from.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.asp.parser import parse_program
-from repro.asp.rules import Program
 from repro.asg.annotated import ASG
 from repro.asg.asg_parser import parse_asg
 from repro.errors import AgenpError

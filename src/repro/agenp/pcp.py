@@ -18,7 +18,6 @@ from repro.core.workflow import LabeledExample
 from repro.agenp.interpreters import PolicyInterpreter
 from repro.agenp.repositories import StoredPolicy
 from repro.errors import ReproError
-from repro.grammar.cfg import SymbolString
 from repro.policy.model import DomainSchema
 from repro.policy.quality import QualityReport, assess
 from repro.policy.xacml import Policy

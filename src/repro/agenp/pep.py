@@ -8,7 +8,7 @@ the monitoring loop.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.agenp.monitoring import DecisionRecord, MonitoringLog
 from repro.policy.model import Decision

@@ -8,7 +8,7 @@ for the AMS which are captured in the Policy Repository."
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.contexts import Context
 from repro.core.gpm import GenerativePolicyModel

@@ -9,7 +9,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.contexts import Context
 from repro.core.gpm import GenerativePolicyModel

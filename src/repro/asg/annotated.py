@@ -11,7 +11,7 @@ membership, ``G(C)``) lives in :mod:`repro.asg.semantics`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.asp.rules import Program, Rule
 from repro.errors import GrammarError

@@ -22,10 +22,9 @@ from repro.asp.atoms import Atom
 from repro.asp.rules import NormalRule, Program, Rule, fact
 from repro.asp.solver import solve
 from repro.asg.annotated import ASG
-from repro.asg.semantics import accepts, reroot_rule, tree_program
+from repro.asg.semantics import accepts, reroot_rule
 from repro.grammar.cfg import SymbolString
 from repro.grammar.earley import parse_trees
-from repro.grammar.parse_tree import ParseTree
 
 __all__ = [
     "BlockingConstraint",

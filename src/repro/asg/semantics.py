@@ -21,7 +21,6 @@ from repro.asg.annotated import ASG
 from repro.grammar.cfg import SymbolString
 from repro.grammar.earley import parse_trees
 from repro.grammar.parse_tree import ParseTree, Trace
-from repro.runtime.budget import Budget
 from repro.telemetry import span as _tele_span
 
 __all__ = [
@@ -78,37 +77,31 @@ def tree_answer_sets(
     asg: ASG,
     tree: ParseTree,
     max_models: Optional[int] = None,
-    budget: Optional[Budget] = None,
 ) -> List[AnswerSet]:
     """Answer sets of ``G[PT]`` for one parse tree."""
-    return solve(tree_program(asg, tree), max_models=max_models, budget=budget)
+    return solve(tree_program(asg, tree), max_models=max_models)
 
 
 def accepts(
     asg: ASG,
     tokens: SymbolString,
     max_trees: int = 256,
-    budget: Optional[Budget] = None,
 ) -> bool:
     """Membership: is ``tokens`` in ``L(G)``?
 
     True iff some parse tree of the underlying CFG induces a satisfiable
     program.  A string outside the CFG language is trivially rejected.
-    ``budget`` (explicit or ambient) bounds parsing and every per-tree
-    solve — membership is the hot path of PCP validation, so one budget
-    covers the whole check.
+    The ambient budget bounds parsing and every per-tree solve —
+    membership is the hot path of PCP validation, so one budget covers
+    the whole check.
     """
-    return (
-        accepting_witness(asg, tokens, max_trees=max_trees, budget=budget)
-        is not None
-    )
+    return accepting_witness(asg, tokens, max_trees=max_trees) is not None
 
 
 def accepting_witness(
     asg: ASG,
     tokens: SymbolString,
     max_trees: int = 256,
-    budget: Optional[Budget] = None,
 ) -> Optional[Tuple[ParseTree, AnswerSet]]:
     """Return a witness ``(parse tree, answer set)`` for membership, or None.
 
@@ -120,11 +113,9 @@ def accepting_witness(
     """
     with _tele_span("asg.membership") as sp:
         trees_tried = 0
-        for tree in parse_trees(
-            asg.cfg, tuple(tokens), max_trees=max_trees, budget=budget
-        ):
+        for tree in parse_trees(asg.cfg, tuple(tokens), max_trees=max_trees):
             trees_tried += 1
-            models = tree_answer_sets(asg, tree, max_models=1, budget=budget)
+            models = tree_answer_sets(asg, tree, max_models=1)
             if models:
                 sp.incr("asg.trees_tried", trees_tried)
                 sp.incr("asg.accepted")

@@ -9,12 +9,7 @@ arithmetic, plus the paper's *annotated atoms* (``a(1)@2``) — covers
 everything Answer Set Grammars and the inductive learner need.
 """
 
-from repro.asp.api import (
-    is_satisfiable,
-    is_satisfiable_text,
-    solve_program,
-    solve_text,
-)
+from repro.asp.api import solve_text
 from repro.asp.atoms import Atom, Comparison, Literal
 from repro.asp.grounder import GroundProgram, ground_program
 from repro.asp.parser import parse_atom, parse_program, parse_rule, parse_term
@@ -61,7 +56,4 @@ __all__ = [
     "cost_of",
     "CostVector",
     "solve_text",
-    "solve_program",
-    "is_satisfiable",
-    "is_satisfiable_text",
 ]

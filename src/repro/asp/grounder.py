@@ -43,7 +43,7 @@ from repro.asp.terms import (
     Variable,
 )
 from repro.errors import GroundingError, UnsafeRuleError
-from repro.runtime.budget import Budget, current_budget
+from repro.runtime.budget import current_budget
 from repro.telemetry import span as _tele_span
 
 __all__ = [
@@ -357,32 +357,28 @@ def _evaluate_atom(atom: Atom) -> Optional[Atom]:
 # Main entry point
 
 
-def ground_program(
-    program: Program,
-    budget: Optional[Budget] = None,
-) -> GroundProgram:
+def ground_program(program: Program) -> GroundProgram:
     """Ground ``program``.
 
-    ``budget`` (explicit or ambient) is ticked once per enumerated
-    substitution, so step budgets and deadlines interrupt grounding
-    before the possible-atom set explodes.  Past ``_MAX_ATOMS`` possible
-    atoms grounding stops with :class:`GroundingError`, a runaway guard
-    for programs run without a budget.
+    The ambient budget is ticked once per enumerated substitution, so
+    step budgets and deadlines interrupt grounding before the
+    possible-atom set explodes.  Past ``_MAX_ATOMS`` possible atoms
+    grounding stops with :class:`GroundingError`, a runaway guard for
+    programs run without a budget.
 
     The returned program carries :class:`GroundStats` (``.stats``);
     the same numbers are added, as ``grounder.*`` counters under an
     ``asp.ground`` span, to the ambient tracer when one is installed.
     """
     with _tele_span("asp.ground") as sp:
-        ground = _ground(program, budget)
+        ground = _ground(program)
         for name, value in ground.stats.as_dict().items():
             sp.incr(f"grounder.{name}", value)
         return ground
 
 
-def _ground(program: Program, budget: Optional[Budget]) -> GroundProgram:
-    if budget is None:
-        budget = current_budget()
+def _ground(program: Program) -> GroundProgram:
+    budget = current_budget()
     stats = GroundStats()
     plans: List[Tuple[Rule, List[BodyElement]]] = []
     for rule in program:

@@ -37,7 +37,7 @@ from repro.asp.graphs import has_cycle
 from repro.asp.grounder import GroundProgram, ground_program
 from repro.asp.rules import Program
 from repro.errors import BudgetExceededError
-from repro.runtime.budget import Budget, current_budget
+from repro.runtime.budget import current_budget
 from repro.telemetry import span as _tele_span
 
 __all__ = ["AnswerSetSolver", "solve", "AnswerSet", "SolveResult", "SolveStats"]
@@ -124,9 +124,9 @@ class _Rule:
 class AnswerSetSolver:
     """Enumerate the answer sets of a ground program.
 
-    Resource governance: an explicit ``budget`` (or, when omitted, the
-    ambient :func:`~repro.runtime.budget.current_budget`) is ticked once
-    per propagation pass, so wall-clock deadlines and shared step
+    Resource governance: the ambient
+    :func:`~repro.runtime.budget.current_budget`, read once at
+    construction, is ticked once per propagation pass, so wall-clock deadlines and shared step
     budgets interrupt the solver mid-solve.  Past ``_MAX_STEPS`` passes
     (a runaway guard for adversarial programs) the solver raises
     :class:`~repro.errors.BudgetExceededError` carrying ``steps_used``.
@@ -146,9 +146,9 @@ class AnswerSetSolver:
     programs take the check.
     """
 
-    def __init__(self, ground: GroundProgram, budget: Optional[Budget] = None):
+    def __init__(self, ground: GroundProgram):
         self._steps = 0
-        self._budget = budget if budget is not None else current_budget()
+        self._budget = current_budget()
         self._tight: Optional[bool] = None  # decided lazily on first verify
         self.stats = SolveStats()
 
@@ -245,9 +245,6 @@ class AnswerSetSolver:
                 for name, start in before.items():
                     sp.incr(f"solver.{name}", getattr(stats, name) - start)
             return SolveResult(models, stats)
-
-    def is_satisfiable(self) -> bool:
-        return bool(self.solve(max_models=1))
 
     # The search is written iteratively-recursively: _search yields models.
 
@@ -465,17 +462,15 @@ class AnswerSetSolver:
 def solve(
     program: Program,
     max_models: Optional[int] = None,
-    budget: Optional[Budget] = None,
 ) -> SolveResult:
     """Ground and solve ``program``; return its answer sets.
 
-    ``budget`` (explicit or ambient) governs both phases: grounding and
-    solving tick the same budget.  The returned :class:`SolveResult`
+    The ambient budget governs both phases: grounding and solving tick
+    the same budget.  The returned :class:`SolveResult`
     behaves as a plain list of answer sets and additionally carries the
     run's :class:`SolveStats`.
     """
-    ground = ground_program(program, budget=budget)
-    return AnswerSetSolver(ground, budget=budget).solve(max_models=max_models)
+    return AnswerSetSolver(ground_program(program)).solve(max_models=max_models)
 
 
 CostVector = Tuple[Tuple[int, int], ...]
@@ -509,7 +504,6 @@ def cost_of(ground: GroundProgram, model: AnswerSet) -> CostVector:
 def solve_optimal(
     program: Program,
     max_candidates: int = 100_000,
-    budget: Optional[Budget] = None,
 ) -> Tuple[List[AnswerSet], CostVector]:
     """All cost-optimal answer sets of a program with weak constraints.
 
@@ -518,8 +512,8 @@ def solve_optimal(
     the optimal cost vector.  Without weak constraints every answer set
     is optimal at the empty cost.
     """
-    ground = ground_program(program, budget=budget)
-    solver = AnswerSetSolver(ground, budget=budget)
+    ground = ground_program(program)
+    solver = AnswerSetSolver(ground)
     models = solver.solve(max_models=max_candidates)
     if not models:
         return SolveResult([], solver.stats), ()

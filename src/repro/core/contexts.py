@@ -9,7 +9,7 @@ composition (local context + PIP-acquired external context).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 from repro.asp.atoms import Atom
 from repro.asp.parser import parse_program

@@ -66,7 +66,6 @@ def learn_gpm(
     max_violations: int = 0,
     max_rules: int = 4,
     max_cost: int = 12,
-    budget=None,
 ) -> Tuple[GenerativePolicyModel, LearnedHypothesis]:
     """One pass of the Figure 1 workflow.
 
@@ -84,7 +83,6 @@ def learn_gpm(
         max_rules=max_rules,
         auto_violations=False,
         max_cost=max_cost,
-        budget=budget,
     )
     return model.with_hypothesis(result.candidates), result
 

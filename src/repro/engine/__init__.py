@@ -1,10 +1,10 @@
 """The high-throughput serving engine (caching + batching front door).
 
-:class:`PolicyEngine` wraps parse → ground → solve, ASG membership, and
-PDP decisions behind LRU caches with generation-based invalidation and
-batched decision serving.  Cache keys are plain values: source text,
+:class:`PolicyEngine` wraps parse → ground → solve and PDP decisions
+behind LRU caches with generation-based invalidation and batched
+decision serving.  Cache keys are plain values: source text,
 rule tuples and :class:`~repro.core.contexts.Context` values (compared
-by the AST's own structural ``__eq__``/``__hash__``), and token tuples.  See
+by the AST's own structural ``__eq__``/``__hash__``).  See
 :mod:`repro.engine.engine` for the serving semantics and
 :mod:`repro.engine.caches` for admission rules.
 """
@@ -13,7 +13,6 @@ from repro.engine.caches import (
     CacheStats,
     GroundCache,
     LRUCache,
-    MembershipCache,
     ParseCache,
     SolveCache,
     admissible,
@@ -28,6 +27,5 @@ __all__ = [
     "ParseCache",
     "GroundCache",
     "SolveCache",
-    "MembershipCache",
     "admissible",
 ]

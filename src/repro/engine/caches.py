@@ -1,21 +1,19 @@
 """Content-keyed LRU caches for the serving engine.
 
 One generic :class:`LRUCache` (ordered-dict based, O(1) get/put, typed
-hit/miss/eviction counters) backs four concrete caches.  Keys are plain
+hit/miss/eviction counters) backs three concrete caches.  Keys are plain
 hashable values; rules compare by the AST's structural equality:
 
 * :class:`ParseCache` — source text → parsed ``Program``;
 * :class:`GroundCache` — rule tuple → ``GroundProgram``;
 * :class:`SolveCache` — (rule tuple, ``max_models``) → ``SolveResult``
-  snapshot;
-* :class:`MembershipCache` — (ASG snapshot, token tuple, options) → the
-  membership verdict for an ASG policy string.
+  snapshot.
 
-Admission is *budget-aware*: a result computed while the governing
-:class:`~repro.runtime.budget.Budget` (explicit or ambient) is already
-exhausted or cancelled is never admitted — a later uncached call could
-legitimately produce more (a resource error instead of a truncated
-search), so such results are not safe to replay.  Callers additionally
+Admission is *budget-aware*: a result computed while the ambient
+:class:`~repro.runtime.budget.Budget` is already exhausted or cancelled
+is never admitted — a later uncached call could legitimately produce
+more (a resource error instead of a truncated search), so such results
+are not safe to replay.  Callers additionally
 refuse to admit explicitly degraded results (e.g. fallback PDP
 decisions) — see :class:`~repro.engine.engine.PolicyEngine`.
 
@@ -32,7 +30,7 @@ from typing import Any, Dict, Generic, Hashable, Optional, Tuple, TypeVar
 
 from repro.asp.grounder import GroundProgram
 from repro.asp.solver import SolveResult, SolveStats
-from repro.runtime.budget import Budget, current_budget
+from repro.runtime.budget import current_budget
 from repro.telemetry import incr as _tele_incr
 
 __all__ = [
@@ -41,7 +39,6 @@ __all__ = [
     "ParseCache",
     "GroundCache",
     "SolveCache",
-    "MembershipCache",
     "admissible",
 ]
 
@@ -85,16 +82,16 @@ class CacheStats:
         )
 
 
-def admissible(budget: Optional[Budget] = None) -> bool:
+def admissible() -> bool:
     """Whether a just-computed result may be cached.
 
-    False when the governing budget (explicit, else ambient) is already
-    exhausted or cancelled: the computation completed, but only just —
-    replaying its result would mask the resource pressure a fresh call
-    would surface, and a degraded/partial variant must never be served
-    as the canonical answer.
+    False when the ambient budget is already exhausted or cancelled: the
+    computation completed, but only just — replaying its result would
+    mask the resource pressure a fresh call would surface, and a
+    degraded/partial variant must never be served as the canonical
+    answer.
     """
-    active = budget if budget is not None else current_budget()
+    active = current_budget()
     return active is None or not active.exhausted
 
 
@@ -130,14 +127,14 @@ class LRUCache(Generic[K, V]):
         _tele_incr(f"cache.{self.name}.hits")
         return entry
 
-    def put(self, key: K, value: V, budget: Optional[Budget] = None) -> bool:
-        """Admit ``value`` unless disabled or the budget disallows it.
+    def put(self, key: K, value: V) -> bool:
+        """Admit ``value`` unless disabled or the ambient budget disallows it.
 
         Returns True iff the value was stored.
         """
         if self.max_entries <= 0:
             return False
-        if not admissible(budget):
+        if not admissible():
             self.stats.rejected += 1
             _tele_incr(f"cache.{self.name}.rejected")
             return False
@@ -211,17 +208,5 @@ class SolveCache(LRUCache[Tuple[tuple, Optional[int]], _SolveEntry]):
             return None
         return SolveResult(entry.models, entry.stats)
 
-    def put_result(
-        self,
-        key: Tuple[tuple, Optional[int]],
-        result: SolveResult,
-        budget: Optional[Budget] = None,
-    ) -> bool:
-        return self.put(key, _SolveEntry(result), budget=budget)
-
-
-class MembershipCache(LRUCache[tuple, bool]):
-    """(ASG snapshot, token tuple, options) → ASG membership verdict."""
-
-    def __init__(self, max_entries: int = 2048):
-        super().__init__(max_entries, name="membership")
+    def put_result(self, key: Tuple[tuple, Optional[int]], result: SolveResult) -> bool:
+        return self.put(key, _SolveEntry(result))

@@ -2,10 +2,10 @@
 
 :class:`PolicyEngine` is the one front door for high-throughput policy
 serving.  It wraps the substrate entry points that the rest of the
-framework exposes piecemeal (``parse`` → ``ground`` → ``solve``, ASG
-membership, PDP decisions) behind content-keyed caches with
-generation-based invalidation.  Every key is a plain value compared by
-the AST's structural ``__eq__``/``__hash__``, so ``Integer(1)`` and
+framework exposes piecemeal (``parse`` → ``ground`` → ``solve``, PDP
+decisions) behind content-keyed caches with generation-based
+invalidation.  Every key is a plain value compared by the AST's
+structural ``__eq__``/``__hash__``, so ``Integer(1)`` and
 ``Constant("1")`` never share an entry:
 
 * **Solve path** — ``engine.solve_text(text)`` / ``engine.solve(program)``
@@ -16,8 +16,6 @@ the AST's structural ``__eq__``/``__hash__``, so ``Integer(1)`` and
   uncached path: the key covers rule order and the only knob that can
   change the answer, and cached models are returned in their original
   order.
-* **Membership path** — ``engine.accepts(asg, tokens)`` memoizes ASG
-  membership verdicts per (grammar snapshot, token tuple, options).
 * **Decision path** — ``engine.decide(request)`` serves PDP decisions
   from a decision cache keyed by (context, policy and context
   generations, request); ``engine.decide_many(requests)`` groups
@@ -38,26 +36,18 @@ spans wrap the serving operations.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.asp.grounder import GroundProgram, ground_program
 from repro.asp.parser import parse_program
 from repro.asp.rules import Program
 from repro.asp.solver import AnswerSetSolver, SolveResult
-from repro.asg.semantics import accepts as _asg_accepts
 from repro.agenp.monitoring import DecisionRecord, MonitoringLog
 from repro.agenp.pdp import PolicyDecisionPoint, evaluate_compiled
 from repro.agenp.repositories import ContextRepository, PolicyRepository
 from repro.core.contexts import Context
-from repro.engine.caches import (
-    GroundCache,
-    LRUCache,
-    MembershipCache,
-    ParseCache,
-    SolveCache,
-)
+from repro.engine.caches import GroundCache, LRUCache, ParseCache, SolveCache
 from repro.policy.model import Decision, Request
-from repro.runtime.budget import Budget
 from repro.telemetry import span as _tele_span
 
 __all__ = ["PolicyEngine", "EngineStats"]
@@ -93,10 +83,10 @@ class PolicyEngine:
     Construction takes the same collaborators as
     :class:`~repro.agenp.pdp.PolicyDecisionPoint` (or an existing PDP via
     ``pdp=``) plus cache-size knobs.  A repository/interpreter pair is
-    only required for the decision path; ``solve*``/``accepts`` work on
+    only required for the decision path; the ``solve*`` methods work on
     a bare engine::
 
-        engine = PolicyEngine()                      # solve/membership caching
+        engine = PolicyEngine()                      # solve caching
         engine = PolicyEngine(repository, interp)    # + PDP decision serving
 
     Setting any ``*_cache_size`` to 0 disables that cache (used by the
@@ -114,7 +104,6 @@ class PolicyEngine:
         parse_cache_size: int = 512,
         ground_cache_size: int = 256,
         solve_cache_size: int = 1024,
-        membership_cache_size: int = 2048,
         decision_cache_size: int = 4096,
         **pdp_kwargs: Any,
     ):
@@ -130,15 +119,11 @@ class PolicyEngine:
         self.parse_cache = ParseCache(parse_cache_size)
         self.ground_cache = GroundCache(ground_cache_size)
         self.solve_cache = SolveCache(solve_cache_size)
-        self.membership_cache = MembershipCache(membership_cache_size)
         self.decision_cache: LRUCache = LRUCache(decision_cache_size, name="decision")
         self._decisions_served = 0
         self._batches_served = 0
         # generations the decision cache was built against
         self._seen_generations: Optional[Tuple[int, int]] = None
-        # id-keyed memo for ASG cache keys (grammars are large; the
-        # strong reference keeps the id stable, mirroring PCP.preflight)
-        self._asg_keys: Dict[int, Tuple[object, tuple]] = {}
 
     # -- solve path ---------------------------------------------------------
 
@@ -151,22 +136,17 @@ class PolicyEngine:
         self.parse_cache.put(text, program)
         return program
 
-    def ground(self, program: Program, budget: Optional[Budget] = None) -> GroundProgram:
+    def ground(self, program: Program) -> GroundProgram:
         """Ground ``program`` through the ground cache."""
         rules = tuple(program.rules)
         cached = self.ground_cache.get(rules)
         if cached is not None:
             return cached
-        ground = ground_program(program, budget=budget)
-        self.ground_cache.put(rules, ground, budget=budget)
+        ground = ground_program(program)
+        self.ground_cache.put(rules, ground)
         return ground
 
-    def solve(
-        self,
-        program: Program,
-        max_models: Optional[int] = None,
-        budget: Optional[Budget] = None,
-    ) -> SolveResult:
+    def solve(self, program: Program, max_models: Optional[int] = None) -> SolveResult:
         """Ground and solve ``program`` through both engine caches.
 
         Identical in signature and results to
@@ -179,60 +159,13 @@ class PolicyEngine:
             cached = self.solve_cache.get_result(key)
             if cached is not None:
                 return cached
-            ground = self.ground(program, budget=budget)
-            solver = AnswerSetSolver(ground, budget=budget)
-            result = solver.solve(max_models=max_models)
-            self.solve_cache.put_result(key, result, budget=budget)
+            result = AnswerSetSolver(self.ground(program)).solve(max_models=max_models)
+            self.solve_cache.put_result(key, result)
             return result
 
-    def solve_text(
-        self,
-        text: str,
-        max_models: Optional[int] = None,
-        budget: Optional[Budget] = None,
-    ) -> SolveResult:
+    def solve_text(self, text: str, max_models: Optional[int] = None) -> SolveResult:
         """Parse, ground, and solve source text through every cache."""
-        return self.solve(self.parse(text), max_models=max_models, budget=budget)
-
-    # -- membership path ----------------------------------------------------
-
-    def _asg_key(self, asg) -> tuple:
-        """A structural snapshot of ``asg``: start symbol, productions in
-        id order with terminal marks, and each production's annotation."""
-        cached = self._asg_keys.get(id(asg))
-        if cached is not None and cached[0] is asg:
-            return cached[1]
-        cfg = asg.cfg
-        terminals = cfg.terminals
-        key = (
-            cfg.start,
-            tuple(
-                (prod.prod_id, prod.lhs, tuple((s, s in terminals) for s in prod.rhs))
-                for prod in cfg.productions
-            ),
-            tuple(
-                (prod_id, tuple(asg.annotations[prod_id].rules))
-                for prod_id in sorted(asg.annotations)
-            ),
-        )
-        self._asg_keys[id(asg)] = (asg, key)
-        return key
-
-    def accepts(
-        self,
-        asg,
-        tokens: Sequence[str],
-        max_trees: int = 256,
-        budget: Optional[Budget] = None,
-    ) -> bool:
-        """ASG membership (``tokens in L(G)``) through the membership cache."""
-        key = (self._asg_key(asg), tuple(tokens), max_trees)
-        cached = self.membership_cache.get(key)
-        if cached is not None:
-            return cached
-        verdict = _asg_accepts(asg, tuple(tokens), max_trees=max_trees, budget=budget)
-        self.membership_cache.put(key, verdict, budget=budget)
-        return verdict
+        return self.solve(self.parse(text), max_models=max_models)
 
     # -- decision path ------------------------------------------------------
 
@@ -369,12 +302,10 @@ class PolicyEngine:
             self.parse_cache,
             self.ground_cache,
             self.solve_cache,
-            self.membership_cache,
             self.decision_cache,
         ):
             cache.clear()
         self._seen_generations = None
-        self._asg_keys.clear()
 
     def stats(self) -> EngineStats:
         """Hit/miss/eviction counters for every cache."""
@@ -385,7 +316,6 @@ class PolicyEngine:
                     self.parse_cache,
                     self.ground_cache,
                     self.solve_cache,
-                    self.membership_cache,
                     self.decision_cache,
                 )
             },

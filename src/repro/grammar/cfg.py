@@ -12,7 +12,7 @@ Strings of the language are tuples of terminal symbols (tokens), e.g.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.errors import GrammarError
 

@@ -16,7 +16,7 @@ Continuation lines starting with ``|`` extend the previous rule.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.errors import GrammarSyntaxError
 from repro.grammar.cfg import CFG, Production

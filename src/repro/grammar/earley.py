@@ -20,38 +20,30 @@ single-parse algorithm.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.errors import AmbiguityLimitError
 from repro.grammar.cfg import CFG, Symbol, SymbolString
 from repro.grammar.parse_tree import ParseTree
-from repro.runtime.budget import Budget, current_budget
+from repro.runtime.budget import current_budget
 from repro.telemetry import span as _tele_span
 
 __all__ = ["recognize", "parse_trees"]
 
 
-def recognize(
-    grammar: CFG, tokens: SymbolString, budget: Optional[Budget] = None
-) -> bool:
+def recognize(grammar: CFG, tokens: SymbolString) -> bool:
     """True iff ``tokens`` is in the language of ``grammar``'s CFG.
 
-    ``budget`` (explicit or ambient) is ticked once per processed chart
-    state, bounding the O(n³) worst case.  Under an ambient tracer an
+    The ambient budget is ticked once per processed chart state,
+    bounding the O(n³) worst case.  Under an ambient tracer an
     ``earley.recognize`` span records the chart size.
     """
     with _tele_span("earley.recognize") as sp:
-        return _recognize(grammar, tokens, budget, sp)
+        return _recognize(grammar, tokens, sp)
 
 
-def _recognize(
-    grammar: CFG,
-    tokens: SymbolString,
-    budget: Optional[Budget],
-    sp,
-) -> bool:
-    if budget is None:
-        budget = current_budget()
+def _recognize(grammar: CFG, tokens: SymbolString, sp) -> bool:
+    budget = current_budget()
     for token in tokens:
         if token not in grammar.terminals:
             return False
@@ -105,17 +97,11 @@ def _recognize(
 class _TreeExtractor:
     """Enumerate all parse trees of each (nonterminal, span) pair."""
 
-    def __init__(
-        self,
-        grammar: CFG,
-        tokens: SymbolString,
-        max_trees: int,
-        budget: Optional[Budget] = None,
-    ):
+    def __init__(self, grammar: CFG, tokens: SymbolString, max_trees: int):
         self.grammar = grammar
         self.tokens = tokens
         self.max_trees = max_trees
-        self.budget = budget
+        self.budget = current_budget()
         self._memo: Dict[Tuple[Symbol, int, int], List[ParseTree]] = {}
         self._active: Set[Tuple[Symbol, int, int]] = set()
         self.truncated = False
@@ -184,24 +170,21 @@ def parse_trees(
     tokens: SymbolString,
     max_trees: int = 256,
     strict: bool = False,
-    budget: Optional[Budget] = None,
 ) -> List[ParseTree]:
     """All parse trees of ``tokens`` (up to ``max_trees``).
 
     Returns an empty list for strings outside the language.  With
     ``strict=True``, exceeding ``max_trees`` raises
     :class:`AmbiguityLimitError` instead of silently truncating.
-    ``budget`` (explicit or ambient) bounds recognition and extraction.
+    The ambient budget bounds recognition and extraction.
     """
-    if budget is None:
-        budget = current_budget()
     with _tele_span("earley.parse_trees") as sp:
         for token in tokens:
             if token not in grammar.terminals:
                 return []
-        if not recognize(grammar, tokens, budget=budget):
+        if not recognize(grammar, tokens):
             return []
-        extractor = _TreeExtractor(grammar, tokens, max_trees, budget=budget)
+        extractor = _TreeExtractor(grammar, tokens, max_trees)
         trees = extractor.trees(grammar.start, 0, len(tokens))
         sp.incr("earley.spans_explored", len(extractor._memo))
         if extractor.truncated:

@@ -18,10 +18,10 @@ irrelevant for policy grammars, documented for completeness), and
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Set, Tuple
 
 from repro.errors import GrammarError
-from repro.grammar.cfg import CFG, Production, Symbol, SymbolString
+from repro.grammar.cfg import CFG, Symbol, SymbolString
 from repro.grammar.earley import parse_trees
 from repro.grammar.parse_tree import ParseTree
 

@@ -20,7 +20,7 @@ For each learned rule we compute, over the training examples:
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from repro.learning.mode_bias import CandidateRule
 

@@ -34,7 +34,6 @@ a few solves per distinct example.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -43,7 +42,6 @@ from repro.analysis.mode_lint import lint_task
 from repro.errors import LearningError, ResourceError, UnsatisfiableTaskError
 from repro.learning.ilasp import ILASPLearner, LearnedHypothesis
 from repro.learning.mode_bias import CandidateRule
-from repro.runtime.budget import Budget, budget_scope
 from repro.telemetry import span as _tele_span
 
 __all__ = ["DecomposableLearner", "learn_auto"]
@@ -100,13 +98,11 @@ class DecomposableLearner:
         max_rules: int = 6,
         max_violations: int = 0,
         max_nodes: int = 200_000,
-        budget: Optional[Budget] = None,
     ):
         self.task = task
         self.max_rules = max_rules
         self.max_violations = max_violations
         self.max_nodes = max_nodes
-        self.budget = budget
         self._constraints_only = task.constraints_only()
         # static task diagnostics, populated by the first learn()
         self.diagnostics: List[Diagnostic] = []
@@ -322,12 +318,7 @@ class DecomposableLearner:
         return selected
 
     def learn(self) -> LearnedHypothesis:
-        scope = (
-            budget_scope(self.budget)
-            if self.budget is not None
-            else contextlib.nullcontext()
-        )
-        with scope, _tele_span("learn.decomposable") as sp:
+        with _tele_span("learn.decomposable") as sp:
             checks_before = self._checks
             space = list(self.task.hypothesis_space)
             if self._models is None:
@@ -415,7 +406,6 @@ def learn_auto(
     max_violations: int = 0,
     auto_violations: bool = True,
     fallback: bool = True,
-    budget: Optional[Budget] = None,
     **ilasp_kwargs,
 ) -> LearnedHypothesis:
     """Try the fast decomposable learner; optionally fall back to the exact one.
@@ -430,41 +420,39 @@ def learn_auto(
     solution (though, unlike the exact learner, not guaranteed
     cost-minimal when rules interact).
     """
-    scope = budget_scope(budget) if budget is not None else contextlib.nullcontext()
-    with scope:
-        violation_budgets = [max_violations]
-        if auto_violations:
-            total_weight = sum(e.weight for e in task.positive) + sum(
-                e.weight for e in task.negative
-            )
-            allowed = max(max_violations, 1)
-            while allowed < total_weight:
-                allowed *= 2
-                violation_budgets.append(min(allowed, total_weight))
-        last_error: Optional[LearningError] = None
-        # one learner, so every budget reuses its coverage model
-        fast = DecomposableLearner(task, max_rules=max_rules)
-        for allowed in violation_budgets:
-            fast.max_violations = allowed
-            try:
-                return fast.learn()
-            except UnsatisfiableTaskError as error:
-                last_error = error
-            except ResourceError:
-                if not fallback:
-                    raise
-                break  # out of budget on the fast path: let the exact
-                # learner degrade gracefully with its best-so-far
-            except LearningError as error:
-                last_error = error
-                break  # verification failure: budgets will not help
-        if fallback:
-            learner = ILASPLearner(
-                task,
-                max_rules=min(max_rules, 4),
-                max_violations=max_violations,
-                **ilasp_kwargs,
-            )
-            return learner.learn()
-        assert last_error is not None
-        raise last_error
+    violation_budgets = [max_violations]
+    if auto_violations:
+        total_weight = sum(e.weight for e in task.positive) + sum(
+            e.weight for e in task.negative
+        )
+        allowed = max(max_violations, 1)
+        while allowed < total_weight:
+            allowed *= 2
+            violation_budgets.append(min(allowed, total_weight))
+    last_error: Optional[LearningError] = None
+    # one learner, so every budget reuses its coverage model
+    fast = DecomposableLearner(task, max_rules=max_rules)
+    for allowed in violation_budgets:
+        fast.max_violations = allowed
+        try:
+            return fast.learn()
+        except UnsatisfiableTaskError as error:
+            last_error = error
+        except ResourceError:
+            if not fallback:
+                raise
+            break  # out of budget on the fast path: let the exact
+            # learner degrade gracefully with its best-so-far
+        except LearningError as error:
+            last_error = error
+            break  # verification failure: budgets will not help
+    if fallback:
+        learner = ILASPLearner(
+            task,
+            max_rules=min(max_rules, 4),
+            max_violations=max_violations,
+            **ilasp_kwargs,
+        )
+        return learner.learn()
+    assert last_error is not None
+    raise last_error

@@ -32,7 +32,6 @@ few examples as possible, with cost as a tie-break.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -40,7 +39,7 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.mode_lint import lint_task
 from repro.errors import LearningError, ResourceError, UnsatisfiableTaskError
 from repro.learning.mode_bias import CandidateRule
-from repro.runtime.budget import Budget, budget_scope
+from repro.runtime.budget import Budget, current_budget
 from repro.telemetry import span as _tele_span
 
 __all__ = ["LearnedHypothesis", "ILASPLearner", "learn"]
@@ -120,7 +119,6 @@ class ILASPLearner:
         max_rules: int = 4,
         max_checks: int = 500_000,
         max_violations: int = 0,
-        budget: Optional[Budget] = None,
         degrade_on_exhaustion: bool = True,
     ):
         self.task = task
@@ -128,10 +126,11 @@ class ILASPLearner:
         self.max_rules = max_rules
         self.max_checks = max_checks
         self.max_violations = max_violations
-        self.budget = budget
         self.degrade_on_exhaustion = degrade_on_exhaustion
         self._memo: Dict[Tuple[FrozenSet[CandidateRule], int, bool], bool] = {}
         self._checks = 0
+        # the ambient budget, read once per learn() and ticked per check
+        self._budget: Optional[Budget] = None
         self._memo_hits = 0
         self._iterations = 0
         self._space_size = 0
@@ -177,8 +176,8 @@ class ILASPLearner:
 
     def _bump(self) -> None:
         self._checks += 1
-        if self.budget is not None:
-            self.budget.tick()
+        if self._budget is not None:
+            self._budget.tick()
         if self._checks > self.max_checks:
             raise LearningError(
                 f"learning exceeded {self.max_checks} coverage checks; "
@@ -212,18 +211,15 @@ class ILASPLearner:
         """Find a minimal hypothesis; raise :class:`UnsatisfiableTaskError`
         if none exists within the limits.
 
-        Under a resource budget (the learner's own, or an ambient
-        :func:`~repro.runtime.budget.budget_scope` governing the oracle's
-        solver calls), exhaustion does not kill the run: with
-        ``degrade_on_exhaustion`` (the default) the least-violating
-        hypothesis evaluated so far is returned with ``degraded=True``.
+        The ambient budget (installed with
+        :func:`~repro.runtime.budget.budget_scope`) is ticked once per
+        oracle check and also governs the oracle's solver calls.  Its
+        exhaustion does not kill the run: with ``degrade_on_exhaustion``
+        (the default) the least-violating hypothesis evaluated so far is
+        returned with ``degraded=True``.
         """
         start = time.monotonic()
-        scope = (
-            budget_scope(self.budget)
-            if self.budget is not None
-            else contextlib.nullcontext()
-        )
+        self._budget = current_budget()
         with _tele_span("learn.ilasp") as sp:
             self.diagnostics = lint_task(self.task)
             if self.diagnostics:
@@ -233,25 +229,24 @@ class ILASPLearner:
                     sum(1 for d in self.diagnostics if d.is_error),
                 )
             try:
-                with scope:
-                    space = self._prefiltered_space()
-                    self._space_size = len(space)
-                    for allowed in range(0, self.max_violations + 1):
-                        found = self._search_with_violations(space, allowed)
-                        if found is not None:
-                            hypothesis, cost = found
-                            result = LearnedHypothesis(
-                                hypothesis,
-                                cost,
-                                self._violation_weight(hypothesis),
-                                self._checks,
-                                time.monotonic() - start,
-                                space_size=self._space_size,
-                                memo_hits=self._memo_hits,
-                                iterations=self._iterations,
-                            )
-                            self._record_span(sp, result)
-                            return result
+                space = self._prefiltered_space()
+                self._space_size = len(space)
+                for allowed in range(0, self.max_violations + 1):
+                    found = self._search_with_violations(space, allowed)
+                    if found is not None:
+                        hypothesis, cost = found
+                        result = LearnedHypothesis(
+                            hypothesis,
+                            cost,
+                            self._violation_weight(hypothesis),
+                            self._checks,
+                            time.monotonic() - start,
+                            space_size=self._space_size,
+                            memo_hits=self._memo_hits,
+                            iterations=self._iterations,
+                        )
+                        self._record_span(sp, result)
+                        return result
             except ResourceError:
                 if not self.degrade_on_exhaustion:
                     raise
@@ -367,7 +362,6 @@ def learn(
     max_rules: int = 4,
     max_checks: int = 500_000,
     max_violations: int = 0,
-    budget: Optional[Budget] = None,
     degrade_on_exhaustion: bool = True,
 ) -> LearnedHypothesis:
     """Convenience wrapper: build an :class:`ILASPLearner` and run it."""
@@ -377,6 +371,5 @@ def learn(
         max_rules=max_rules,
         max_checks=max_checks,
         max_violations=max_violations,
-        budget=budget,
         degrade_on_exhaustion=degrade_on_exhaustion,
     ).learn()

@@ -7,7 +7,7 @@ E3/E4 (XACML case study).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 __all__ = ["confusion", "accuracy", "precision_recall_f1", "learning_curve"]
 

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.asp.atoms import Atom, Literal
 from repro.asp.rules import NormalRule, Rule
-from repro.asp.terms import Constant, Integer, Term, Variable
+from repro.asp.terms import Term
 from repro.errors import LearningError
 
 __all__ = [

@@ -1,21 +1,22 @@
 """Resource budgets and deadlines for cooperative cancellation.
 
 Every potentially unbounded computation in this package (ASP grounding
-and solving, Earley parsing, ASG membership, hypothesis search) accepts
-a :class:`Budget` — a combined step budget and wall-clock deadline that
-the computation *ticks* as it works.  Exhausting either limit raises a
+and solving, Earley parsing, ASG membership, hypothesis search) is
+bounded by a :class:`Budget` — a combined step budget and wall-clock
+deadline that the computation *ticks* as it works.  Exhausting either limit raises a
 typed :class:`~repro.errors.ResourceError` subclass, so callers at
 framework boundaries (the PDP, the PAdaP) can catch one base class and
 degrade gracefully instead of stalling the whole AGENP loop.
 
-Budgets can also be installed *ambiently* with :func:`budget_scope`::
+A budget reaches a computation one way: it is installed *ambiently*
+with :func:`budget_scope`, as a tracer is with ``tracer_scope``::
 
     with budget_scope(Budget(max_steps=100_000, wall_clock=0.5)):
         models = solve_text(hard_program)   # bounded, no signature changes
 
-Any governed primitive that is not handed an explicit budget consults
-:func:`current_budget`, so one scope bounds an arbitrarily deep call
-tree (e.g. PDP -> interpreter -> ASG membership -> grounder -> solver).
+Every governed primitive reads :func:`current_budget` once when it
+starts, so one scope bounds an arbitrarily deep call tree (e.g. PDP ->
+interpreter -> ASG membership -> grounder -> solver).
 
 Cooperative cancellation: another thread (or a supervising callback) may
 call :meth:`Budget.cancel`; the next tick raises
@@ -200,8 +201,8 @@ def budget_scope(budget: Optional[Budget]) -> Iterator[Optional[Budget]]:
         _AMBIENT.reset(token)
 
 
-def spend(n: int = 1, budget: Optional[Budget] = None) -> None:
-    """Tick ``budget`` or, when None, the ambient budget (no-op outside)."""
-    active = budget if budget is not None else _AMBIENT.get()
+def spend(n: int = 1) -> None:
+    """Tick the ambient budget (a no-op outside any scope)."""
+    active = _AMBIENT.get()
     if active is not None:
         active.tick(n)

@@ -15,15 +15,20 @@ HARD = " ".join("{ a%d }." % i for i in range(14))
 
 
 class TestExplicitBudget:
+    """A budget installed with ``budget_scope`` directly around one call."""
+
     def test_budget_exhausts_mid_solve_with_steps_attached(self):
-        with pytest.raises(BudgetExceededError) as err:
-            solve_text(HARD, budget=Budget(max_steps=2_000))
+        with pytest.raises(BudgetExceededError) as err, budget_scope(
+            Budget(max_steps=2_000)
+        ):
+            solve_text(HARD)
         assert err.value.steps_used >= 2_000
         assert err.value.max_steps == 2_000
 
     def test_generous_budget_solves_and_reports_usage(self):
         budget = Budget(max_steps=50_000_000)
-        models = solve_text("a :- not b. b :- not a.", budget=budget)
+        with budget_scope(budget):
+            models = solve_text("a :- not b. b :- not a.")
         assert len(models) == 2
         assert budget.steps_used > 0
 
@@ -33,8 +38,8 @@ class TestExplicitBudget:
             "pair(X, Y) :- num(X), num(Y)."
             "quad(A, B, C, D) :- pair(A, B), pair(C, D)."
         )
-        with pytest.raises(BudgetExceededError):
-            ground_program(parse_program(text), budget=Budget(max_steps=500))
+        with pytest.raises(BudgetExceededError), budget_scope(Budget(max_steps=500)):
+            ground_program(parse_program(text))
 
     def test_wall_clock_deadline_raises_timeout(self):
         ticking = iter(range(100_000))
@@ -44,8 +49,8 @@ class TestExplicitBudget:
             return float(next(ticking))
 
         budget = Budget(wall_clock=0.5, clock=clock)
-        with pytest.raises(SolveTimeoutError):
-            solve_text(HARD, budget=budget)
+        with pytest.raises(SolveTimeoutError), budget_scope(budget):
+            solve_text(HARD)
 
 
 class TestAmbientBudget:
@@ -54,10 +59,11 @@ class TestAmbientBudget:
             with pytest.raises(BudgetExceededError):
                 solve_text(HARD)
 
-    def test_explicit_budget_wins_over_ambient(self):
+    def test_inner_scope_wins_over_outer(self):
         with budget_scope(Budget(max_steps=1)):
-            # the explicit (generous) budget is used, not the ambient one
-            models = solve_text("a.", budget=Budget(max_steps=100_000))
+            # the inner (generous) budget is used, not the outer one
+            with budget_scope(Budget(max_steps=100_000)):
+                models = solve_text("a.")
         assert len(models) == 1
 
     def test_no_budget_solves_unbounded(self):

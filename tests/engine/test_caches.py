@@ -46,18 +46,22 @@ def test_clear_counts_as_evictions():
 
 
 def test_admissible_explicit_budget():
+    # each budget installed with budget_scope directly around the check
     fresh = Budget(max_steps=100)
-    assert admissible(fresh)
+    with budget_scope(fresh):
+        assert admissible()
     spent = Budget(max_steps=1)
     try:
         spent.tick(2)
     except Exception:
         pass
     assert spent.exhausted
-    assert not admissible(spent)
+    with budget_scope(spent):
+        assert not admissible()
     cancelled = Budget()
     cancelled.cancel()
-    assert not admissible(cancelled)
+    with budget_scope(cancelled):
+        assert not admissible()
 
 
 def test_admissible_ambient_budget():
@@ -75,7 +79,8 @@ def test_put_rejects_exhausted_budget_results():
     cache = LRUCache(4, name="t")
     budget = Budget()
     budget.cancel()
-    assert cache.put("a", 1, budget=budget) is False
+    with budget_scope(budget):
+        assert cache.put("a", 1) is False
     assert cache.get("a") is None
     assert cache.stats.rejected == 1
 

@@ -1,7 +1,7 @@
 """Cache identity: equal content hits, any structural difference misses.
 
 Every engine cache is keyed on structural values (source text, rule
-tuples, token tuples, an ASG snapshot), so these invariants are checked
+tuples), so these invariants are checked
 through ``PolicyEngine``'s hit and miss counters.
 """
 
@@ -9,15 +9,7 @@ from repro.asp.atoms import Atom, Literal
 from repro.asp.parser import parse_program
 from repro.asp.rules import ChoiceRule, NormalRule, Program, WeakConstraint
 from repro.asp.terms import Constant, Integer
-from repro.asg.asg_parser import parse_asg
 from repro.engine import PolicyEngine
-
-ASG_TEXT = """
-start -> elem { :- value(2)@1. }
-elem -> "x" { value(1). }
-elem -> "y" { value(2). }
-"""
-
 
 def solve_all(*programs):
     """Solve each program through one engine; return its solve-cache stats."""
@@ -112,30 +104,9 @@ def test_rule_fingerprint_is_stable_across_programs():
     assert (stats.misses, stats.hits) == (1, 1)
 
 
-def test_asg_fingerprint_stable_and_sensitive():
-    engine = PolicyEngine()
-    tokens = ["x"]
-    engine.accepts(parse_asg(ASG_TEXT), tokens)
-    engine.accepts(parse_asg(ASG_TEXT), tokens)
-    stats = engine.membership_cache.stats
-    assert (stats.misses, stats.hits) == (1, 1)
-    changed = parse_asg(ASG_TEXT.replace("value(2)", "value(3)"))
-    engine.accepts(changed, tokens)
-    assert (stats.misses, stats.hits) == (2, 1)
-    rule = parse_program(":- value(1)@1.").rules[0]
-    engine.accepts(parse_asg(ASG_TEXT).with_rules([(rule, 0)]), tokens)
-    assert (stats.misses, stats.hits) == (3, 1)
-
-
 def test_text_and_token_fingerprints():
     engine = PolicyEngine()
     for text in ["a.", "a.", "a. "]:
         engine.parse(text)
     parse = engine.parse_cache.stats
     assert (parse.misses, parse.hits) == (2, 1)
-
-    asg = parse_asg(ASG_TEXT)
-    for tokens in [["ab", "c"], ["a", "bc"], ("x", "y"), ["x", "y"]]:
-        engine.accepts(asg, tokens)
-    membership = engine.membership_cache.stats
-    assert (membership.misses, membership.hits) == (3, 1)

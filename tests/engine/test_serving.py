@@ -5,7 +5,6 @@ import pytest
 from repro.agenp.interpreters import FieldInterpreter
 from repro.agenp.pdp import PolicyDecisionPoint, evaluate_compiled
 from repro.agenp.repositories import ContextRepository, PolicyRepository, StoredPolicy
-from repro.asg.asg_parser import parse_asg
 from repro.core.contexts import Context
 from repro.engine import PolicyEngine
 from repro.policy.model import Decision, Request
@@ -175,22 +174,6 @@ def test_evaluate_compiled_matches_pdp_resolution():
     record = pdp.decide(request())
     assert decision == record.decision == Decision.DENY
     assert text == record.policy_text
-
-
-def test_membership_cache():
-    asg = parse_asg(
-        """
-start -> elem { :- value(2)@1. }
-elem -> "x" { value(1). }
-elem -> "y" { value(2). }
-"""
-    )
-    engine = PolicyEngine()
-    assert engine.accepts(asg, ("x",)) is True
-    assert engine.accepts(asg, ("x",)) is True
-    assert engine.accepts(asg, ("y",)) is False
-    assert engine.membership_cache.stats.hits == 1
-    assert engine.membership_cache.stats.misses == 2
 
 
 def test_invalidate_clears_everything():

@@ -7,7 +7,7 @@ from repro.asp.terms import Constant
 from repro.asg import parse_asg
 from repro.errors import BudgetExceededError
 from repro.learning import ASGLearningTask, ContextExample, constraint_space, learn
-from repro.runtime.budget import Budget
+from repro.runtime.budget import Budget, budget_scope
 
 GRAMMAR = """
 policy -> "allow" subject action
@@ -45,12 +45,14 @@ def short_budget() -> Budget:
     """Half the steps an unlimited, metered learn of the same task uses,
     so the budget always runs out mid-search."""
     meter = Budget()
-    learn(make_task(), budget=meter)
+    with budget_scope(meter):
+        learn(make_task())
     return Budget(max_steps=meter.steps_used // 2)
 
 
 def test_exhausted_budget_returns_degraded_best_so_far():
-    result = learn(make_task(), budget=short_budget())
+    with budget_scope(short_budget()):
+        result = learn(make_task())
     assert result.degraded
     # a usable (possibly imperfect) hypothesis, not an exception
     assert result.cost >= 0
@@ -58,14 +60,29 @@ def test_exhausted_budget_returns_degraded_best_so_far():
 
 
 def test_degradation_can_be_disabled():
-    with pytest.raises(BudgetExceededError):
-        learn(make_task(), budget=short_budget(), degrade_on_exhaustion=False)
+    with pytest.raises(BudgetExceededError), budget_scope(short_budget()):
+        learn(make_task(), degrade_on_exhaustion=False)
 
 
 def test_generous_budget_matches_unbudgeted_result():
     budget = Budget(max_steps=50_000_000)
-    governed = learn(make_task(), budget=budget)
+    with budget_scope(budget):
+        governed = learn(make_task())
     free = learn(make_task())
     assert not governed.degraded
     assert governed.cost == free.cost
     assert budget.steps_used > 0
+
+
+def test_scoped_budget_ticks_once_per_oracle_check():
+    # a pure-Python oracle never solves, so the learner's own tick per
+    # check is the only spending the ambient budget can see
+    task = make_task()
+    task.positive_holds = lambda hypothesis, example: True
+    task.negative_holds = lambda hypothesis, example: bool(hypothesis)
+    meter = Budget()
+    with budget_scope(meter):
+        result = learn(task)
+    assert not result.degraded
+    assert result.checks > 0
+    assert meter.steps_used == result.checks
